@@ -1,28 +1,28 @@
-// CHURN — steady-state throughput of the sharded admission service
+// CHURN — steady-state throughput of the admission service
 // (src/service/, DESIGN.md §5h, EXPERIMENTS.md CHRN).
 //
 // A sustained arrival+departure trace (default 1M requests, --quick 20k,
 // --requests=N to override) on a 32x32 fabric is pushed through
-// service::AdmissionService in four configurations: {GC on, GC off} x
-// {1 shard, N shards}. Reported per configuration:
+// service::AdmissionService with the breakpoint GC on and off. Reported
+// per configuration:
 //
-//   * sustained admissions/sec (wall clock over the whole drain),
+//   * admitted count and sustained admissions/sec (wall clock over the
+//     whole drain),
 //   * p50/p99 per-admission decision latency (injected steady-clock),
 //   * resident breakpoints after the drain and peak live reservations,
 //   * GC activity (compactions, breakpoints retired).
 //
-// The bench FATALs unless every configuration's decision fingerprint is
-// identical (GC on vs off and 1 vs N shards must agree bit for bit) and
-// unless GC keeps resident breakpoints O(live): at most 4x the live peak
-// plus a per-port batch allowance, independent of trace length. Results go
-// to BENCH_churn.json (suppressed under --quick unless --json is given).
+// The bench FATALs unless both configurations' decision fingerprints are
+// identical (GC on vs off must agree bit for bit) and unless GC keeps
+// resident breakpoints O(live): at most 4x the live peak plus a per-port
+// batch allowance, independent of trace length. Results go to
+// BENCH_churn.json (suppressed under --quick unless --json is given).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -79,9 +79,8 @@ double percentile(std::vector<double> values, double q) {
 }
 
 ConfigResult run_config(const Network& net, const std::vector<Request>& trace,
-                        std::string name, std::size_t shards, bool gc) {
+                        std::string name, bool gc) {
   service::ServiceOptions options;
-  options.shards = shards;
   options.gc = gc;
   options.clock = [] {
     return std::chrono::duration<double>(
@@ -109,59 +108,49 @@ int run(int argc, const char* const* argv) {
   }
   const std::size_t requests = static_cast<std::size_t>(
       flags.get_int("requests", args.quick ? 20000 : 1000000));
-  const std::size_t multi = static_cast<std::size_t>(flags.get_int(
-      "shards",
-      static_cast<std::int64_t>(std::min<std::size_t>(
-          8, std::max<std::size_t>(2, std::thread::hardware_concurrency())))));
 
   const Network net =
       Network::uniform(kPorts, kPorts, Bandwidth::gigabytes_per_second(1));
   const auto trace = churn_trace(args.config.base_seed, requests);
   std::cout << "churn trace: " << trace.size() << " requests, fabric " << kPorts
-            << "x" << kPorts << ", multi-shard = " << multi << "\n";
+            << "x" << kPorts << "\n";
 
   std::vector<ConfigResult> results;
-  results.push_back(run_config(net, trace, "gc/1shard", 1, true));
-  results.push_back(run_config(net, trace, "gc/" + std::to_string(multi) + "shard",
-                               multi, true));
-  results.push_back(run_config(net, trace, "nogc/1shard", 1, false));
-  results.push_back(run_config(net, trace, "nogc/" + std::to_string(multi) + "shard",
-                               multi, false));
+  results.push_back(run_config(net, trace, "gc", true));
+  results.push_back(run_config(net, trace, "nogc", false));
+  const ConfigResult& gc = results[0];
+  const ConfigResult& nogc = results[1];
 
   // --- invariants the bench enforces -------------------------------------
-  for (const ConfigResult& r : results) {
-    if (r.report.decision_fingerprint != results[0].report.decision_fingerprint) {
-      std::cerr << "FATAL: " << r.name << " decisions diverge from "
-                << results[0].name << "\n";
-      return 1;
-    }
+  if (nogc.report.decision_fingerprint != gc.report.decision_fingerprint) {
+    std::cerr << "FATAL: " << nogc.name << " decisions diverge from " << gc.name
+              << "\n";
+    return 1;
   }
-  const ConfigResult& gc_multi = results[1];
-  const std::size_t resident_cap =
-      4 * gc_multi.report.live_peak + 128 * 2 * kPorts;
-  for (const ConfigResult& r : {results[0], results[1]}) {
-    if (r.report.resident_breakpoints > resident_cap) {
-      std::cerr << "FATAL: " << r.name << " resident breakpoints "
-                << r.report.resident_breakpoints << " exceed O(live) cap "
-                << resident_cap << "\n";
-      return 1;
-    }
-    if (r.report.breakpoints_retired == 0) {
-      std::cerr << "FATAL: " << r.name << " retired no breakpoints\n";
-      return 1;
-    }
+  const std::size_t resident_cap = 4 * gc.report.live_peak + 128 * 2 * kPorts;
+  if (gc.report.resident_breakpoints > resident_cap) {
+    std::cerr << "FATAL: " << gc.name << " resident breakpoints "
+              << gc.report.resident_breakpoints << " exceed O(live) cap "
+              << resident_cap << "\n";
+    return 1;
+  }
+  if (gc.report.breakpoints_retired == 0) {
+    std::cerr << "FATAL: " << gc.name << " retired no breakpoints\n";
+    return 1;
   }
 
-  Table table{{"config", "requests", "wall_s", "admissions_per_s", "p50_us",
-               "p99_us", "resident_bp", "live_peak", "compactions", "retired"}};
+  Table table{{"config", "requests", "admitted", "wall_s", "admissions_per_s",
+               "p50_us", "p99_us", "resident_bp", "live_peak", "compactions",
+               "retired"}};
   std::vector<std::string> names;
   std::vector<RunningStats> walls;
   for (const ConfigResult& r : results) {
     const double rate =
         r.wall_s > 0.0 ? static_cast<double>(r.report.submitted) / r.wall_s : 0.0;
     table.add_row({r.name, std::to_string(r.report.submitted),
-                   format_double(r.wall_s, 4), format_double(rate, 0),
-                   format_double(r.p50_us, 2), format_double(r.p99_us, 2),
+                   std::to_string(r.report.admitted), format_double(r.wall_s, 4),
+                   format_double(rate, 0), format_double(r.p50_us, 2),
+                   format_double(r.p99_us, 2),
                    std::to_string(r.report.resident_breakpoints),
                    std::to_string(r.report.live_peak),
                    std::to_string(r.report.compactions),
@@ -172,12 +161,10 @@ int run(int argc, const char* const* argv) {
     walls.push_back(wall);
   }
 
-  const double speedup =
-      results[1].wall_s > 0.0 ? results[0].wall_s / results[1].wall_s : 0.0;
-  std::cout << "multi-shard speedup (gc on): " << format_double(speedup, 2)
-            << "x over 1 shard\n";
+  const double speedup = gc.wall_s > 0.0 ? nogc.wall_s / gc.wall_s : 0.0;
+  std::cout << "GC speedup: " << format_double(speedup, 2) << "x over GC off\n";
 
-  const std::string title = "Steady-state churn — sharded admission service, " +
+  const std::string title = "Steady-state churn — admission service, " +
                             std::to_string(trace.size()) + " requests";
   bench::emit(title, table, args);
   if (!args.json_path.empty()) {

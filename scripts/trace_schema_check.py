@@ -54,6 +54,7 @@ REASONS = {
     "no_feasible_start",
     "retro_removed",
     "retries_exhausted",
+    "release_before_watermark",
 }
 
 

@@ -25,7 +25,6 @@ std::string to_string(Counter counter) {
     case Counter::kResidualIndexRebuilds: return "residual_index_rebuilds";
     case Counter::kProfileCompactions: return "profile_compactions";
     case Counter::kBreakpointsRetired: return "breakpoints_retired";
-    case Counter::kShardHandoffs: return "shard_handoffs";
     case Counter::kWindowScanDrains: return "window_scan_drains";
     case Counter::kWindowHeapDrains: return "window_heap_drains";
     case Counter::kValidatorRuns: return "validator_runs";

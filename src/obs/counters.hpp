@@ -51,9 +51,6 @@ enum class Counter : std::size_t {
   // per-port compaction passes and the breakpoints they folded away.
   kProfileCompactions,
   kBreakpointsRetired,
-  // Churn service: events whose two ports straddle distinct workers' shard
-  // sets (a static property of the port pair, so totals are deterministic).
-  kShardHandoffs,
   // WINDOW selection-engine adoption: which drain engine each interval's
   // batch actually ran (kAuto picks scan below the break-even batch size,
   // heap at or above it; empty batches count nothing).

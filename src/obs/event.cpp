@@ -28,6 +28,7 @@ std::string to_string(RejectReason reason) {
     case RejectReason::kNoFeasibleStart: return "no_feasible_start";
     case RejectReason::kRetroRemoved: return "retro_removed";
     case RejectReason::kRetriesExhausted: return "retries_exhausted";
+    case RejectReason::kReleaseBeforeWatermark: return "release_before_watermark";
   }
   return "unknown";
 }

@@ -60,6 +60,7 @@ enum class RejectReason : std::uint8_t {
   kNoFeasibleStart,     // no start slot within the book-ahead horizon fits
   kRetroRemoved,        // a *-SLOTS sweep discarded the request in a slice
   kRetriesExhausted,    // every attempt of the retry budget failed
+  kReleaseBeforeWatermark,  // released before an earlier drain's last event
 };
 
 /// One structured admission event. `when` is always simulated time; wall

@@ -238,44 +238,37 @@ TEST(TsanStress, SubmitRacingShutdownNeverDropsOrDeadlocks) {
   }
 }
 
-// The sharded churn service is the newest parallel surface (DESIGN.md §5h):
-// worker threads execute per-port sequence-gated events under two-shard
-// lock ordering while the GC folds retired breakpoints under the same
-// locks. This hammer drives concurrent ingest (4 submitter threads) into an
-// 8-shard drain with an aggressive GC cadence, across seeds, and checks the
-// decisions still match the serial 1-shard GC-off replay bit for bit. Under
-// TSan this additionally proves the ingest queue, the shard condvars, and
-// the GC mutations race-free.
-TEST(TsanStress, ShardedAdmissionServiceMatchesSerialReplayUnderHammer) {
+// The churn service's ingest queue is its one concurrent surface
+// (DESIGN.md §5h): submit() may be called from any thread, and drain()
+// seals whatever has been queued. This hammer drives concurrent ingest (4
+// submitter threads) into a GC-on service, across seeds, and checks the
+// decisions still match a single-submitter GC-off replay bit for bit.
+// Under TSan this additionally proves the ingest queue race-free.
+TEST(TsanStress, AdmissionServiceConcurrentIngestMatchesSerialReplay) {
   for (const std::uint64_t seed : kSeeds) {
     const auto [scenario, requests] = big_workload(seed, 4000);
     ASSERT_GT(requests.size(), 1000u);
 
     service::ServiceOptions serial_opts;
-    serial_opts.shards = 1;
     serial_opts.gc = false;
     service::AdmissionService serial{scenario.network, std::move(serial_opts)};
     for (const Request& r : requests) serial.submit(r);
     const service::ServiceReport expected = serial.drain();
 
-    service::ServiceOptions sharded_opts;
-    sharded_opts.shards = 8;
-    sharded_opts.gc = true;
-    sharded_opts.gc_batch = 8;  // aggressive: many folds under contention
-    service::AdmissionService sharded{scenario.network, std::move(sharded_opts)};
+    service::AdmissionService concurrent{scenario.network, service::ServiceOptions{}};
     {
       ThreadPool submitters{4};
       std::vector<std::future<void>> feeds;
       for (int t = 0; t < 4; ++t) {
         feeds.push_back(submitters.submit([&, t] {
           for (std::size_t k = static_cast<std::size_t>(t); k < requests.size(); k += 4) {
-            sharded.submit(requests[k]);
+            concurrent.submit(requests[k]);
           }
         }));
       }
       for (auto& f : feeds) f.get();
     }
-    const service::ServiceReport actual = sharded.drain();
+    const service::ServiceReport actual = concurrent.drain();
 
     EXPECT_EQ(actual.decision_fingerprint, expected.decision_fingerprint)
         << "seed " << seed;
