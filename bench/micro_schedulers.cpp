@@ -125,6 +125,42 @@ void BM_TimelineProfileAddQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_TimelineProfileAddQuery)->Arg(64)->Arg(512)->Arg(4096);
 
+// Online admission's cycle on one port, which BM_TimelineProfileAddQuery's
+// build-once/query-once shape cannot see: one add at the live tail of a
+// profile holding `resident` breakpoints of history, then one max_over the
+// added window (a NetworkLedger reserve followed by the next fits). The
+// profile is reset to its history every 64 cycles, outside the timing, so
+// it holds between `resident` and `resident` + 128 breakpoints throughout.
+void BM_TimelineProfileInterleaved(benchmark::State& state) {
+  const auto resident = static_cast<std::size_t>(state.range(0));
+  constexpr int kCyclesPerReset = 64;
+  TimelineProfile history;
+  for (std::size_t k = 0; k < resident / 2; ++k) {
+    const double lo = static_cast<double>(k);
+    history.add(TimePoint::at_seconds(lo), TimePoint::at_seconds(lo + 1.5), 1.0);
+  }
+  history.ensure_merged();
+  // Quarter-second steps from just inside the tail: some endpoints land on
+  // resident instants, most are new.
+  const double tail = static_cast<double>(resident / 2) - 4.0;
+  TimelineProfile f = history;
+  int cycle = 0;
+  for (auto _ : state) {
+    if (cycle == kCyclesPerReset) {
+      state.PauseTiming();
+      f = history;
+      cycle = 0;
+      state.ResumeTiming();
+    }
+    const TimePoint t0 = TimePoint::at_seconds(tail + 0.25 * cycle++);
+    const TimePoint t1 = t0 + Duration::seconds(3.0);
+    f.add(t0, t1, 0.5);
+    benchmark::DoNotOptimize(f.max_over(t0, t1));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TimelineProfileInterleaved)->Arg(64)->Arg(512)->Arg(4096);
+
 void BM_MaxMinAllocation(benchmark::State& state) {
   const auto flows_count = static_cast<std::size_t>(state.range(0));
   Rng rng{8};

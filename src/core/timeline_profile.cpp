@@ -25,49 +25,61 @@ void TimelineProfile::merge_pending() const {
   std::stable_sort(pending_.begin(), pending_.end(),
                    [](const Event& a, const Event& b) { return a.time < b.time; });
 
-  std::vector<double> merged_times;
-  std::vector<double> merged_deltas;
-  merged_times.reserve(times_.size() + pending_.size());
-  merged_deltas.reserve(times_.size() + pending_.size());
+  // Nothing before the earliest pending instant changes: neither its slot
+  // nor its cached prefix sum/max.
+  const std::size_t n = times_.size();
+  const std::size_t first = static_cast<std::size_t>(
+      std::lower_bound(times_.begin(), times_.end(), pending_.front().time) -
+      times_.begin());
 
-  // Two-pointer merge; at equal instants the existing combined delta comes
-  // first, then pending deltas fold onto it left-to-right.
-  std::size_t i = 0;  // over times_/deltas_
-  std::size_t j = 0;  // over pending_
-  while (i < times_.size() || j < pending_.size()) {
-    const bool take_existing =
-        j == pending_.size() ||
-        (i < times_.size() && times_[i] <= pending_[j].time);
-    double time, delta;
-    if (take_existing) {
-      time = times_[i];
-      delta = deltas_[i];
-      ++i;
+  // Forward pass: a delta on an existing instant folds onto its combined
+  // delta (existing first, then call order); deltas on new instants
+  // coalesce in place into pending_[0, fresh).
+  std::size_t fresh = 0;
+  std::size_t i = first;
+  for (const Event& e : pending_) {
+    while (i < n && times_[i] < e.time) ++i;
+    if (i < n && times_[i] == e.time) {
+      deltas_[i] += e.delta;
+    } else if (fresh > 0 && pending_[fresh - 1].time == e.time) {
+      pending_[fresh - 1].delta += e.delta;
     } else {
-      time = pending_[j].time;
-      delta = pending_[j].delta;
-      ++j;
-    }
-    if (!merged_times.empty() && merged_times.back() == time) {
-      merged_deltas.back() += delta;
-    } else {
-      merged_times.push_back(time);
-      merged_deltas.push_back(delta);
+      pending_[fresh++] = e;
     }
   }
 
-  times_ = std::move(merged_times);
-  deltas_ = std::move(merged_deltas);
+  // Backward pass: grow the arrays and merge the new instants into the
+  // suffix from the back, so each element moves once.
+  times_.resize(n + fresh);
+  deltas_.resize(n + fresh);
+  std::size_t src = n;
+  std::size_t out = n + fresh;
+  for (std::size_t j = fresh; j > 0; --j) {
+    const Event& e = pending_[j - 1];
+    while (src > first && times_[src - 1] > e.time) {
+      --src;
+      --out;
+      times_[out] = times_[src];
+      deltas_[out] = deltas_[src];
+    }
+    --out;
+    times_[out] = e.time;
+    deltas_[out] = e.delta;
+  }
   pending_.clear();
-  rebuild_caches();
+  refold_from(first);
 }
 
-void TimelineProfile::rebuild_caches() const {
+void TimelineProfile::refold_from(std::size_t first) const {
   values_.resize(times_.size());
   prefix_max_.resize(times_.size());
-  double acc = 0.0;
-  double best = -std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < times_.size(); ++k) {
+  // Seeding with the untouched cache entry below `first` continues the same
+  // left-to-right fold, so every refolded entry is the double a fold from
+  // index 0 would produce.
+  double acc = first == 0 ? 0.0 : values_[first - 1];
+  double best =
+      first == 0 ? -std::numeric_limits<double>::infinity() : prefix_max_[first - 1];
+  for (std::size_t k = first; k < times_.size(); ++k) {
     acc += deltas_[k];
     values_[k] = acc;
     best = std::max(best, acc);
@@ -177,7 +189,7 @@ void TimelineProfile::compact(double tolerance) {
   }
   times_.resize(kept);
   deltas_.resize(kept);
-  rebuild_caches();
+  refold_from(0);
 }
 
 std::size_t TimelineProfile::retirable_before(TimePoint horizon) const {
@@ -197,7 +209,7 @@ std::size_t TimelineProfile::retire_before(TimePoint horizon) {
       times_.begin());
   if (cut <= 1) return 0;
   // The standing breakpoint keeps the last retired instant and carries the
-  // prefix sum accumulated there. rebuild_caches() then re-folds starting
+  // prefix sum accumulated there. refold_from(0) then re-folds starting
   // from exactly that double (0.0 + values_[cut-1] == values_[cut-1]), so
   // every retained prefix sum is recomputed through the same operations it
   // was originally built from — bit-identical post-horizon queries.
@@ -205,7 +217,7 @@ std::size_t TimelineProfile::retire_before(TimePoint horizon) {
   deltas_[0] = values_[cut - 1];
   times_.erase(times_.begin() + 1, times_.begin() + static_cast<std::ptrdiff_t>(cut));
   deltas_.erase(deltas_.begin() + 1, deltas_.begin() + static_cast<std::ptrdiff_t>(cut));
-  rebuild_caches();
+  refold_from(0);
   return cut - 1;
 }
 

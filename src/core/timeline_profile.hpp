@@ -6,10 +6,14 @@
 // of a std::map of deltas.
 //
 //  * `add` is O(1): it appends to a pending buffer. The buffer is merged
-//    into the sorted arrays on the first query after a batch of adds
-//    (stable sort of the pending events + one linear merge), so bulk
-//    construction — the validator, dataplane replay, BOOK-AHEAD probes —
-//    costs O(n log n) once instead of O(n log n) map-node allocations.
+//    into the sorted arrays in place on the first query after a batch of k
+//    adds: a stable sort of the pending events, one binary search for the
+//    earliest of them, and one pass over the suffix from there, whose caches
+//    are re-folded. That is O(k log k + log n + (n - first touched)), so
+//    online add→query cycles pay for the live tail, not the history, and
+//    bulk construction — the validator, dataplane replay, BOOK-AHEAD
+//    probes — costs O(n log n) once instead of O(n log n) map-node
+//    allocations.
 //  * `value_at` is O(log n): binary search into the prefix-sum cache.
 //  * `global_max` is O(1) off the prefix-max cache.
 //  * `max_over` / `integral` are O(log n + w) where w is the number of
@@ -128,7 +132,9 @@ class TimelineProfile {
   };
 
   void merge_pending() const;
-  void rebuild_caches() const;
+  /// Recomputes values_/prefix_max_ from index `first` on, seeded with the
+  /// cached entries just below it.
+  void refold_from(std::size_t first) const;
 
   /// First index k with times_[k] > t, i.e. t's value is values_[k-1].
   [[nodiscard]] std::size_t upper_index(double t) const;

@@ -1,7 +1,8 @@
 // TimelineProfile: unit tests for the flat port-load profile, plus the
 // differential proof that it is bit-identical to the StepFunction reference
 // (same breakpoints, value_at, max_over, global_max, integral) across
-// randomized interval stacks, interleaved add/query patterns, and compact.
+// randomized interval stacks, one-add-one-query cycles (with retire_before
+// and compact between them), and compact.
 // Comparisons use EXPECT_EQ on raw doubles on purpose: the flat profile
 // reproduces the exact floating-point operation order of the map scans.
 
@@ -10,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "core/step_function.hpp"
@@ -216,6 +219,120 @@ TEST_P(TimelineProfileDifferential, CompactMatchesStepFunctionCompact) {
   std::vector<double> probes;
   for (int k = 0; k < 40; ++k) probes.push_back(rng.uniform(-10, 460));
   expect_identical(ref, flat, probes, seed);
+}
+
+/// One add, then one round of queries, for 2400 steps: every merge folds a
+/// single interval into a resident profile, the ledger/service pattern, so
+/// each step exercises the suffix-only cache repair. `monotone` draws release
+/// times from an advancing clock and departs live intervals with zero-sum
+/// releases, retiring the settled past every 400 steps (FCFS/churn shape);
+/// otherwise instants are uniform over the axis, some before the first
+/// breakpoint, and the profile is compacted every 400 steps. Both shapes
+/// snap endpoints onto existing instants. Queries compare raw doubles; after
+/// `retire_before(h)` the flat side answers for [h, ∞) only, so its
+/// whole-axis and left-anchored maxima are compared with the reference's
+/// maximum from just below h.
+void expect_interleaved_identical(std::uint64_t seed, bool monotone) {
+  constexpr int kSteps = 2400;
+  constexpr double kBeforeAll = -1e6;
+  Rng rng{seed};
+  StepFunction ref;
+  TimelineProfile flat;
+  struct Live {
+    double lo, hi, delta;
+  };
+  std::vector<Live> live;
+  std::vector<double> instants;
+  double now = 0.0;
+  double floor_h = -std::numeric_limits<double>::infinity();  // last retire horizon
+  int on_existing = 0;
+  int before_first = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    const std::size_t count_before = flat.breakpoint_count();
+    const auto times = flat.merged_times_view();
+    double lo, hi, delta;
+    const bool release = !live.empty() && rng.uniform01() < 0.3;
+    if (release) {
+      // Zero-sum release of a live interval.
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      lo = live[k].lo;
+      hi = live[k].hi;
+      delta = -live[k].delta;
+      live[k] = live.back();
+      live.pop_back();
+    } else {
+      if (monotone) {
+        if (rng.uniform01() < 0.9) now += rng.uniform(0.0, 2.0);
+        lo = now;
+      } else {
+        lo = rng.uniform01() < 0.05 && !times.empty() ? times.front() - rng.uniform(1, 10)
+                                                      : rng.uniform(0, 900);
+        if (rng.uniform01() < 0.15 && !instants.empty()) {
+          lo = rng.pick(std::span<const double>{instants});
+        }
+      }
+      hi = lo + rng.uniform(0.25, 60);
+      if (rng.uniform01() < 0.25 && !instants.empty()) {
+        const double snapped = rng.pick(std::span<const double>{instants});
+        if (snapped > lo) hi = snapped;
+      }
+      delta = rng.uniform(0.1, 4.0);
+      if (monotone || rng.uniform01() < 0.5) live.push_back(Live{lo, hi, delta});
+      instants.push_back(lo);
+      instants.push_back(hi);
+    }
+    if (times.empty() || lo < times.front()) ++before_first;
+    ref.add(at(lo), at(hi), delta);
+    flat.add(at(lo), at(hi), delta);
+
+    // The reference's maximum over [just below floor_h, upto), or over
+    // (-inf, upto) before any retire.
+    const auto ref_max_to = [&](double upto) {
+      return floor_h == -std::numeric_limits<double>::infinity()
+                 ? ref.max_over(at(kBeforeAll), at(upto))
+                 : ref.max_over(at(std::nextafter(floor_h, kBeforeAll)), at(upto));
+    };
+    const double far = std::max(now, 900.0) + 1e3;
+    EXPECT_EQ(ref_max_to(far), flat.global_max()) << "step=" << step << " seed=" << seed;
+    const double anchor_hi = std::max(lo, floor_h) + rng.uniform(0.5, 80);
+    EXPECT_EQ(ref_max_to(anchor_hi), flat.max_over(at(kBeforeAll), at(anchor_hi)))
+        << "step=" << step << " seed=" << seed;
+    const double wlo = monotone ? rng.uniform(std::max(floor_h, now - 50), now + 50)
+                                : rng.uniform(-10, 960);
+    const double whi = wlo + rng.uniform(0.25, 80);
+    EXPECT_EQ(ref.value_at(at(wlo)), flat.value_at(at(wlo))) << "step=" << step;
+    EXPECT_EQ(ref.max_over(at(wlo), at(whi)), flat.max_over(at(wlo), at(whi)))
+        << "step=" << step << " seed=" << seed;
+    EXPECT_EQ(ref.integral(at(wlo), at(whi)), flat.integral(at(wlo), at(whi)))
+        << "step=" << step << " seed=" << seed;
+    if (!release && flat.breakpoint_count() < count_before + 2) ++on_existing;
+
+    if (step % 400 == 399) {
+      if (monotone) {
+        floor_h = now;
+        for (const Live& l : live) floor_h = std::min(floor_h, l.lo);
+        flat.retire_before(at(floor_h));
+      } else {
+        ref.compact();
+        flat.compact();
+      }
+    }
+  }
+  EXPECT_GT(on_existing, 0) << "no new interval landed on an existing instant";
+  EXPECT_GT(before_first, monotone ? 0 : 10)
+      << "too few adds before the first breakpoint";
+  if (monotone) {
+    EXPECT_GT(floor_h, 0.0) << "nothing was retired";
+  }
+}
+
+TEST_P(TimelineProfileDifferential, InterleavedReleaseMonotoneAddsMatchStepFunction) {
+  expect_interleaved_identical(GetParam(), /*monotone=*/true);
+}
+
+TEST_P(TimelineProfileDifferential, InterleavedRandomAddsMatchStepFunction) {
+  expect_interleaved_identical(GetParam(), /*monotone=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, TimelineProfileDifferential,
