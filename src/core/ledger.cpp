@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 namespace gridbw {
 
 namespace {
-
-/// Ports with fewer breakpoints than this never build an index: the flat
-/// scan over a handful of contiguous doubles beats any tree traversal.
-constexpr std::size_t kMinIndexBreakpoints = 64;
 
 /// Releases between GC retirement passes: each pass costs O(ports · log n)
 /// in watermark binary searches even when nothing folds, so the release
@@ -28,59 +23,12 @@ constexpr std::size_t kMinRetireBatch = 64;
 NetworkLedger::NetworkLedger(const Network& network)
     : network_{&network},
       ingress_(network.ingress_count()),
-      egress_(network.egress_count()),
-      ingress_probe_(network.ingress_count()),
-      egress_probe_(network.egress_count()) {}
-
-// gridbw:hot
-bool NetworkLedger::port_fits(const TimelineProfile& profile, PortProbe& probe,
-                              TimePoint t0, TimePoint t1, Bandwidth add,
-                              Bandwidth capacity) const {
-  // Decision threshold spelled exactly like approx_le(Bandwidth, Bandwidth):
-  // same terms, same evaluation order, so `lhs <= limit` is the identical
-  // boolean whichever path computed `lhs`'s peak.
-  const double cap_bps = capacity.to_bytes_per_second();
-  const double add_bps = add.to_bytes_per_second();
-  const double limit = cap_bps + 1.0 + 1e-9 * std::fabs(cap_bps);
-  if (probe.index.fresh()) {
-    const double lhs = probe.index.peak_over(t0, t1) + add_bps;
-    const double guard = probe.index.error_bound();
-    if (guard == 0.0 || std::fabs(lhs - limit) > guard) {
-      if (observer_ != nullptr) observer_->count(obs::Counter::kResidualIndexProbes);
-      return lhs <= limit;
-    }
-    // A patched tree's answer landed inside its FP guard band around the
-    // threshold: only the exact scan below can decide bit-identically.
-  }
-  const double peak = profile.max_over(t0, t1);
-  // Amortized index maintenance: charge this scan's window width as debt
-  // and (re)build once the accumulated debt matches a build's O(n) cost.
-  const std::span<const double> times = profile.merged_times_view();
-  const auto first = std::upper_bound(times.begin(), times.end(), t0.to_seconds());
-  const auto last = std::lower_bound(times.begin(), times.end(), t1.to_seconds());
-  probe.scan_debt += static_cast<double>(last - first) + 1.0;
-  if (observer_ != nullptr) observer_->count(obs::Counter::kResidualIndexFallbacks);
-  if (times.size() >= kMinIndexBreakpoints &&
-      probe.scan_debt >= static_cast<double>(times.size())) {
-    probe.index.rebuild(profile);
-    probe.scan_debt = 0.0;
-    if (observer_ != nullptr) observer_->count(obs::Counter::kResidualIndexRebuilds);
-  }
-  return peak + add_bps <= limit;
-}
+      egress_(network.egress_count()) {}
 
 // gridbw:hot
 bool NetworkLedger::fits(IngressId i, EgressId e, TimePoint t0, TimePoint t1,
                          Bandwidth bw) const {
-  // The per-port half carries the index-vs-scan machinery; this body only
-  // fans out. fits_ingress/fits_egress remain the pure (counter-free,
-  // index-free) variants for rejection-reason classification on the cold
-  // rejection path.
-  const bool ok =
-      port_fits(ingress_[i.value], ingress_probe_[i.value], t0, t1, bw,
-                network_->ingress_capacity(i)) &&
-      port_fits(egress_[e.value], egress_probe_[e.value], t0, t1, bw,
-                network_->egress_capacity(e));
+  const bool ok = fits_ingress(i, t0, t1, bw) && fits_egress(e, t0, t1, bw);
   if (observer_ != nullptr) {
     observer_->count(obs::Counter::kLedgerFitsChecks);
     if (!ok) observer_->count(obs::Counter::kLedgerFitsRejected);
@@ -108,11 +56,6 @@ void NetworkLedger::reserve(IngressId i, EgressId e, TimePoint t0, TimePoint t1,
   const double add = bw.to_bytes_per_second();
   ingress_.at(i.value).add(t0, t1, add);
   egress_.at(e.value).add(t0, t1, add);
-  // Keep fresh indexes in step with the profiles; an endpoint the snapshot
-  // has never seen makes the patch fail and the index go stale (apply's
-  // contract), after which `fits` falls back to scans until it re-amortizes.
-  (void)ingress_probe_[i.value].index.apply(t0, t1, add);
-  (void)egress_probe_[e.value].index.apply(t0, t1, add);
   if (observer_ != nullptr) observer_->count(obs::Counter::kLedgerReservations);
 }
 
@@ -122,8 +65,6 @@ void NetworkLedger::release(IngressId i, EgressId e, TimePoint t0, TimePoint t1,
   const double sub = -bw.to_bytes_per_second();
   ingress_.at(i.value).add(t0, t1, sub);
   egress_.at(e.value).add(t0, t1, sub);
-  (void)ingress_probe_[i.value].index.apply(t0, t1, sub);
-  (void)egress_probe_[e.value].index.apply(t0, t1, sub);
   if (observer_ != nullptr) observer_->count(obs::Counter::kLedgerReleases);
   // Departures drive the breakpoint GC once advance_horizon has armed it.
   if (gc_armed_ && ++gc_release_debt_ >= kGcReleaseBatch) (void)collect_retired();
@@ -140,27 +81,17 @@ std::size_t NetworkLedger::collect_retired() {
   if (!gc_armed_) return 0;
   gc_release_debt_ = 0;
   std::size_t retired = 0;
-  for (std::size_t p = 0; p < ingress_.size(); ++p) {
-    retired += maybe_retire_port(ingress_[p], ingress_probe_[p]);
-  }
-  for (std::size_t p = 0; p < egress_.size(); ++p) {
-    retired += maybe_retire_port(egress_[p], egress_probe_[p]);
-  }
+  for (TimelineProfile& p : ingress_) retired += maybe_retire_port(p);
+  for (TimelineProfile& p : egress_) retired += maybe_retire_port(p);
   return retired;
 }
 
-std::size_t NetworkLedger::maybe_retire_port(TimelineProfile& profile,
-                                             PortProbe& probe) {
+std::size_t NetworkLedger::maybe_retire_port(TimelineProfile& profile) {
   const std::size_t retirable = profile.retirable_before(gc_horizon_);
   if (retirable < kMinRetireBatch || retirable * 2 < profile.breakpoint_count()) {
     return 0;
   }
   const std::size_t retired = profile.retire_before(gc_horizon_);
-  // The index snapshot no longer matches the compacted arrays; fits() falls
-  // back to exact scans until the debt pays for a rebuild over the (now much
-  // smaller) resident set.
-  probe.index.invalidate();
-  probe.scan_debt = 0.0;
   if (observer_ != nullptr && retired > 0) {
     observer_->count(obs::Counter::kProfileCompactions);
     observer_->count(obs::Counter::kBreakpointsRetired, retired);
@@ -173,25 +104,6 @@ std::size_t NetworkLedger::resident_breakpoints() const {
   for (const TimelineProfile& p : ingress_) total += p.breakpoint_count();
   for (const TimelineProfile& p : egress_) total += p.breakpoint_count();
   return total;
-}
-
-Bandwidth NetworkLedger::headroom(IngressId i, EgressId e, TimePoint t0,
-                                  TimePoint t1) const {
-  // `exact()` indexes return the bit-identical peak, so headroom may use
-  // them directly; patched ones only bound the peak and are skipped (the
-  // callers compare headroom against request rates, where a guard-band
-  // dance is not worth the branch).
-  const ResidualIndex& in_idx = ingress_probe_[i.value].index;
-  const ResidualIndex& out_idx = egress_probe_[e.value].index;
-  const double in_peak = in_idx.exact() ? in_idx.peak_over(t0, t1)
-                                        : ingress_.at(i.value).max_over(t0, t1);
-  const double out_peak = out_idx.exact() ? out_idx.peak_over(t0, t1)
-                                          : egress_.at(e.value).max_over(t0, t1);
-  const double in_room =
-      network_->ingress_capacity(i).to_bytes_per_second() - in_peak;
-  const double out_room =
-      network_->egress_capacity(e).to_bytes_per_second() - out_peak;
-  return Bandwidth::bytes_per_second(std::max(0.0, std::min(in_room, out_room)));
 }
 
 CounterLedger::CounterLedger(const Network& network)

@@ -6,14 +6,11 @@
 //    TimelineProfile allocation profile; `fits` asks whether an extra `bw`
 //    over [t0, t1) would exceed the port capacity anywhere. Used by the
 //    rigid heuristics (whose reservations span arbitrary future windows),
-//    the BOOK-AHEAD feasibility probes, and the optimality solvers.
-//    Probe-heavy callers are served by a per-port ResidualIndex (segment
-//    tree over the profile's breakpoints, DESIGN.md §5g): once a port has
-//    absorbed enough fallback-scan work to pay for a build, `fits` answers
-//    from one O(log n) tree query instead of the O(window) profile scan.
-//    Decisions stay bit-identical: an unpatched index returns the exact
-//    peak, and a patched one is trusted only outside its FP guard band
-//    (inside it, the exact profile scan decides).
+//    the BOOK-AHEAD feasibility probes, and the optimality solvers. Each
+//    probe is the port's `max_over` scan, O(log n + window breakpoints)
+//    since the profile merges only the touched suffix (DESIGN.md §5c):
+//    the ledger keeps no per-port index beside its profiles (DESIGN.md §5g
+//    says why).
 //
 //  * CounterLedger — the paper's O(1) online book (`ali`/`ale` in
 //    Algorithms 2 and 3): one running counter per port, increased on accept
@@ -34,7 +31,6 @@
 
 #include "core/ids.hpp"
 #include "core/network.hpp"
-#include "core/residual_index.hpp"
 #include "core/timeline_profile.hpp"
 #include "obs/observer.hpp"
 #include "util/quantity.hpp"
@@ -43,10 +39,9 @@ namespace gridbw {
 
 /// Exact time-aware allocation book over all ports of a network.
 ///
-/// Thread safety: like TimelineProfile queries, `fits` and `headroom` may
-/// mutate mutable acceleration state (lazy merges, residual-index upkeep)
-/// even though they are const. A NetworkLedger must not be shared across
-/// threads; every scheduling engine owns its own instance.
+/// Thread safety: like TimelineProfile queries, `fits` may run the
+/// profiles' lazy merge even though it is const. A NetworkLedger must not
+/// be shared across threads; every scheduling engine owns its own instance.
 class NetworkLedger {
  public:
   explicit NetworkLedger(const Network& network);
@@ -56,8 +51,9 @@ class NetworkLedger {
   [[nodiscard]] bool fits(IngressId i, EgressId e, TimePoint t0, TimePoint t1,
                           Bandwidth bw) const;
 
-  /// Per-port halves of `fits`, for rejection-reason classification. Pure
-  /// queries: they bump no observer counters.
+  /// Per-port halves of `fits`: the port's peak over [t0, t1) plus `bw`
+  /// must be approx_le its capacity. Rejection-reason classification calls
+  /// them directly. Pure queries: they bump no observer counters.
   [[nodiscard]] bool fits_ingress(IngressId i, TimePoint t0, TimePoint t1,
                                   Bandwidth bw) const;
   [[nodiscard]] bool fits_egress(EgressId e, TimePoint t0, TimePoint t1,
@@ -68,10 +64,6 @@ class NetworkLedger {
 
   /// Reverses a previous `reserve` with identical arguments.
   void release(IngressId i, EgressId e, TimePoint t0, TimePoint t1, Bandwidth bw);
-
-  /// Remaining headroom min over [t0, t1) across the two ports.
-  [[nodiscard]] Bandwidth headroom(IngressId i, EgressId e, TimePoint t0,
-                                   TimePoint t1) const;
 
   [[nodiscard]] const TimelineProfile& ingress_profile(IngressId i) const {
     return ingress_.at(i.value);
@@ -111,37 +103,17 @@ class NetworkLedger {
   [[nodiscard]] std::size_t resident_breakpoints() const;
 
  private:
-  /// Per-port probe accelerator (ISSUE 6 tentpole). The index starts stale
-  /// (zero cost for reserve-only workloads); every fallback scan in `fits`
-  /// charges its window width as debt, and the index is (re)built once the
-  /// debt matches a build's O(n) cost — keeping probes amortized O(log n)
-  /// without ever losing to the flat scan by more than 2x.
-  struct PortProbe {
-    ResidualIndex index;
-    double scan_debt{0.0};
-  };
-
-  /// One port's half of `fits`: index probe when trustworthy, exact profile
-  /// scan (plus debt accounting / amortized rebuild) otherwise. The decision
-  /// is bit-identical to `approx_le(Bandwidth(peak) + add, capacity)`.
-  [[nodiscard]] bool port_fits(const TimelineProfile& profile, PortProbe& probe,
-                               TimePoint t0, TimePoint t1, Bandwidth add,
-                               Bandwidth capacity) const;
-
   /// One port's share of `collect_retired`: folds the dead prefix when the
-  /// amortization policy says it pays, and invalidates the port's residual
-  /// index (its snapshot no longer matches the compacted arrays).
-  std::size_t maybe_retire_port(TimelineProfile& profile, PortProbe& probe);
+  /// amortization policy says it pays.
+  std::size_t maybe_retire_port(TimelineProfile& profile);
 
   const Network* network_;
   std::vector<TimelineProfile> ingress_;
   std::vector<TimelineProfile> egress_;
-  mutable std::vector<PortProbe> ingress_probe_;
-  mutable std::vector<PortProbe> egress_probe_;
   obs::Observer* observer_{nullptr};
   // GC state: watermark, whether advance_horizon armed the release path, and
-  // releases accumulated since the last retirement pass (scan-debt-style
-  // batching — the pass itself is O(ports · log n) even when nothing folds).
+  // releases accumulated since the last retirement pass (batched because
+  // the pass itself is O(ports · log n) even when nothing folds).
   TimePoint gc_horizon_{};
   bool gc_armed_{false};
   std::size_t gc_release_debt_{0};

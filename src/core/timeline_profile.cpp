@@ -173,11 +173,6 @@ std::span<const double> TimelineProfile::merged_times_view() const {
   return {times_.data(), times_.size()};
 }
 
-std::span<const double> TimelineProfile::merged_values_view() const {
-  merge_pending();
-  return {values_.data(), values_.size()};
-}
-
 void TimelineProfile::compact(double tolerance) {
   merge_pending();
   std::size_t kept = 0;

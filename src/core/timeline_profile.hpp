@@ -85,13 +85,11 @@ class TimelineProfile {
   /// Times at which the function changes value, in increasing order.
   [[nodiscard]] std::vector<TimePoint> breakpoints() const;
 
-  /// Zero-copy views of the merged SoA arrays: breakpoint instants and the
-  /// prefix-sum value holding on [times[k], times[k+1]). Merges pending
-  /// first; the views are invalidated by the next `add`/`compact`. These
-  /// exist so ResidualIndex can snapshot the arrays without a per-element
-  /// copy through TimePoint wrappers.
+  /// Zero-copy view of the merged breakpoint instants. Merges pending
+  /// first; the view is invalidated by the next `add`/`compact`. Its one
+  /// user is the interleaved differential test, which draws adds before
+  /// the first breakpoint from it.
   [[nodiscard]] std::span<const double> merged_times_view() const;
-  [[nodiscard]] std::span<const double> merged_values_view() const;
 
   [[nodiscard]] bool empty() const { return times_.empty() && pending_.empty(); }
 

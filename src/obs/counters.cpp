@@ -20,9 +20,6 @@ std::string to_string(Counter counter) {
     case Counter::kLedgerReservations: return "ledger_reservations";
     case Counter::kLedgerReleases: return "ledger_releases";
     case Counter::kLedgerDriftClamped: return "ledger_drift_clamped";
-    case Counter::kResidualIndexProbes: return "residual_index_probes";
-    case Counter::kResidualIndexFallbacks: return "residual_index_fallbacks";
-    case Counter::kResidualIndexRebuilds: return "residual_index_rebuilds";
     case Counter::kProfileCompactions: return "profile_compactions";
     case Counter::kBreakpointsRetired: return "breakpoints_retired";
     case Counter::kWindowScanDrains: return "window_scan_drains";

@@ -43,10 +43,6 @@ enum class Counter : std::size_t {
   // Counter-book anomaly: a reclaim drove a port counter below zero by more
   // than the admission tolerance (a mismatched allocate/reclaim pair).
   kLedgerDriftClamped,
-  // Residual-index (O(log n) probe) adoption inside NetworkLedger::fits.
-  kResidualIndexProbes,
-  kResidualIndexFallbacks,
-  kResidualIndexRebuilds,
   // TimelineProfile breakpoint GC (NetworkLedger / churn service):
   // per-port compaction passes and the breakpoints they folded away.
   kProfileCompactions,

@@ -172,8 +172,9 @@ struct AdmissionService::Impl {
     PortCell& in = cells[cell_of_ingress(r.ingress)];
     PortCell& eg = cells[cell_of_egress(r.egress)];
     const double bw = rate[ev.req];
-    // Decision threshold spelled exactly like NetworkLedger::port_fits so
-    // the service and the batch engines agree on borderline loads.
+    // Same threshold as NetworkLedger::fits_ingress/fits_egress (approx_le
+    // on peak + rate) so the service and the batch engines agree on
+    // borderline loads.
     const bool in_fits =
         approx_le(Bandwidth::bytes_per_second(in.profile.max_over(r.release, r.deadline) + bw),
                   Bandwidth::bytes_per_second(in.capacity));

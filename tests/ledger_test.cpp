@@ -1,8 +1,22 @@
-// Unit tests for the two allocation books.
+// Unit tests for the allocation books, plus a differential check of
+// NetworkLedger::fits against a per-port StepFunction oracle.
 
 #include "core/ledger.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "core/step_function.hpp"
+#include "util/random.hpp"
+#include "workload/generator.hpp"
+#include "workload/load.hpp"
+#include "workload/scenario.hpp"
 
 namespace gridbw {
 namespace {
@@ -41,18 +55,6 @@ TEST_F(NetworkLedgerTest, ReleaseRestoresHeadroom) {
   EXPECT_TRUE(ledger_.fits(IngressId{0}, EgressId{0}, at(0), at(10), mbps(100)));
 }
 
-TEST_F(NetworkLedgerTest, HeadroomIsMinAcrossPortsAndTime) {
-  ledger_.reserve(IngressId{0}, EgressId{0}, at(0), at(10), mbps(30));
-  ledger_.reserve(IngressId{1}, EgressId{0}, at(5), at(15), mbps(20));
-  // Ingress 0 has 70 free; egress 0 has 50 free on [5,10).
-  EXPECT_DOUBLE_EQ(
-      ledger_.headroom(IngressId{0}, EgressId{0}, at(5), at(10)).to_megabytes_per_second(),
-      50.0);
-  EXPECT_DOUBLE_EQ(
-      ledger_.headroom(IngressId{0}, EgressId{0}, at(0), at(5)).to_megabytes_per_second(),
-      70.0);
-}
-
 TEST_F(NetworkLedgerTest, ExactFillAcceptedWithinTolerance) {
   ledger_.reserve(IngressId{0}, EgressId{0}, at(0), at(10), mbps(60));
   ledger_.reserve(IngressId{0}, EgressId{0}, at(0), at(10), mbps(40));
@@ -66,6 +68,134 @@ TEST_F(NetworkLedgerTest, ProfilesAreExposedForInspection) {
   EXPECT_DOUBLE_EQ(ledger_.ingress_profile(IngressId{1}).value_at(at(3)), 1e7);
   EXPECT_DOUBLE_EQ(ledger_.egress_profile(EgressId{0}).value_at(at(3)), 1e7);
   EXPECT_DOUBLE_EQ(ledger_.ingress_profile(IngressId{0}).value_at(at(3)), 0.0);
+}
+
+/// Reference book for NetworkLedger: one map-based StepFunction per port,
+/// mirroring every reserve/release, and the capacity test written out as
+/// "peak over the window plus the rate is approx_le the capacity".
+class StepFunctionLedger {
+ public:
+  explicit StepFunctionLedger(const Network& network)
+      : network_{&network},
+        ingress_(network.ingress_count()),
+        egress_(network.egress_count()) {}
+
+  void add(IngressId i, EgressId e, TimePoint t0, TimePoint t1, double delta) {
+    ingress_[i.value].add(t0, t1, delta);
+    egress_[e.value].add(t0, t1, delta);
+  }
+
+  [[nodiscard]] bool fits(IngressId i, EgressId e, TimePoint t0, TimePoint t1,
+                          Bandwidth bw) const {
+    const double rate = bw.to_bytes_per_second();
+    const double in_peak = ingress_[i.value].max_over(t0, t1);
+    const double out_peak = egress_[e.value].max_over(t0, t1);
+    return approx_le(Bandwidth::bytes_per_second(in_peak + rate),
+                     network_->ingress_capacity(i)) &&
+           approx_le(Bandwidth::bytes_per_second(out_peak + rate),
+                     network_->egress_capacity(e));
+  }
+
+ private:
+  const Network* network_;
+  std::vector<StepFunction> ingress_;
+  std::vector<StepFunction> egress_;
+};
+
+/// Drives an FCFS-style admit/release sequence over `requests` through the
+/// ledger and the oracle and checks that every probe decides identically.
+/// A third of the admissions are released again right away.
+void expect_fits_matches_oracle(const Network& network,
+                                std::span<const Request> requests) {
+  NetworkLedger ledger{network};
+  StepFunctionLedger oracle{network};
+  std::size_t admitted = 0;
+  std::size_t rejected = 0;
+  std::size_t disagreements = 0;
+  for (const Request& r : requests) {
+    if (!(r.deadline > r.release)) continue;
+    const Bandwidth bw = r.min_rate();
+    const bool got = ledger.fits(r.ingress, r.egress, r.release, r.deadline, bw);
+    if (got != oracle.fits(r.ingress, r.egress, r.release, r.deadline, bw)) {
+      ++disagreements;
+    }
+    if (!got) {
+      ++rejected;
+      continue;
+    }
+    ledger.reserve(r.ingress, r.egress, r.release, r.deadline, bw);
+    oracle.add(r.ingress, r.egress, r.release, r.deadline, bw.to_bytes_per_second());
+    if (++admitted % 3 == 0) {
+      ledger.release(r.ingress, r.egress, r.release, r.deadline, bw);
+      oracle.add(r.ingress, r.egress, r.release, r.deadline, -bw.to_bytes_per_second());
+    }
+  }
+  EXPECT_EQ(disagreements, 0u);
+  EXPECT_GT(admitted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(NetworkLedgerProbeTest, FitsMatchesPureScansOnFig4Workloads) {
+  for (const std::uint64_t seed : {11u, 4242u, 987654321u}) {
+    workload::Scenario scenario =
+        workload::paper_rigid(Duration::seconds(1), Duration::seconds(1));
+    scenario.spec.mean_interarrival =
+        workload::interarrival_for_load(scenario.spec, scenario.network, 3.0);
+    scenario.spec.horizon = scenario.spec.mean_interarrival * 10000.0;
+    Rng rng{seed};
+    auto requests = workload::generate(scenario.spec, rng);
+    requests.resize(std::min<std::size_t>(requests.size(), 10000));
+    ASSERT_GT(requests.size(), 1000u) << "seed=" << seed;
+    SCOPED_TRACE(seed);
+    expect_fits_matches_oracle(scenario.network, requests);
+  }
+}
+
+TEST(NetworkLedgerProbeTest, EffectivelyZeroCapacityPortsNeverAdmit) {
+  // Network requires positive capacities, so "zero-capacity port" means a
+  // capacity below the admission tolerance (1 byte/s): nothing above the
+  // tolerance can ever fit, whatever load the port already carries.
+  const Network net = Network::uniform(2, 2, Bandwidth::bytes_per_second(1e-3));
+  NetworkLedger ledger{net};
+  for (int k = 0; k < 200; ++k) {
+    ledger.reserve(IngressId{0}, EgressId{0}, at(k), at(k + 1),
+                   Bandwidth::bytes_per_second(1e-6));
+  }
+  for (int k = 0; k < 500; ++k) {
+    EXPECT_FALSE(ledger.fits(IngressId{0}, EgressId{0}, at(k % 100), at(k % 100 + 5),
+                             Bandwidth::bytes_per_second(2.0)));
+    EXPECT_TRUE(ledger.fits(IngressId{0}, EgressId{0}, at(k % 100), at(k % 100 + 5),
+                            Bandwidth::zero()));
+  }
+}
+
+TEST(NetworkLedgerProbeTest, SliverWindowsReleaseEqualsDeadline) {
+  const Network net = Network::uniform(2, 2, mbps(100));
+  NetworkLedger ledger{net};
+  StepFunctionLedger oracle{net};
+  for (int k = 0; k < 300; ++k) {
+    ledger.reserve(IngressId{0}, EgressId{0}, at(k), at(k + 2), mbps(1));
+    oracle.add(IngressId{0}, EgressId{0}, at(k), at(k + 2),
+               mbps(1).to_bytes_per_second());
+  }
+  for (int k = 0; k < 300; ++k) {
+    // Zero-width [t, t) windows (release == deadline) carry no load, and
+    // one-ulp windows starting on a breakpoint see only the load there:
+    // the ledger must agree with the oracle on both, for a rate that fits
+    // next to the 2 MB/s standing load and for one that exceeds the port.
+    const TimePoint mid = at(k + 0.5);
+    const TimePoint on = at(k);
+    const TimePoint ulp = at(std::nextafter(static_cast<double>(k), 1e9));
+    for (const double mb : {50.0, 500.0}) {
+      const Bandwidth bw = mbps(mb);
+      for (const auto& [t0, t1] : {std::pair{mid, mid}, std::pair{on, ulp}}) {
+        const bool want = oracle.fits(IngressId{0}, EgressId{0}, t0, t1, bw);
+        EXPECT_EQ(ledger.fits(IngressId{0}, EgressId{0}, t0, t1, bw), want)
+            << "t=" << t0.to_seconds() << " bw=" << mb;
+        EXPECT_EQ(want, mb <= 99.0);
+      }
+    }
+  }
 }
 
 class CounterLedgerTest : public ::testing::Test {

@@ -1,8 +1,9 @@
 // TimelineProfile: unit tests for the flat port-load profile, plus the
 // differential proof that it is bit-identical to the StepFunction reference
 // (same breakpoints, value_at, max_over, global_max, integral) across
-// randomized interval stacks, one-add-one-query cycles (with retire_before
-// and compact between them), and compact.
+// randomized interval stacks (topped with a breakpoint-dense run probed by
+// sliver windows), one-add-one-query cycles (with retire_before and compact
+// between them), and compact.
 // Comparisons use EXPECT_EQ on raw doubles on purpose: the flat profile
 // reproduces the exact floating-point operation order of the map scans.
 
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
@@ -193,7 +195,22 @@ TEST_P(TimelineProfileDifferential, BitIdenticalToStepFunctionOnRandomStacks) {
     probes.push_back(t);
     EXPECT_EQ(ref.value_at(at(t)), flat.value_at(at(t))) << "seed=" << seed;
   }
+  // Breakpoint-dense last batch: abutting one-second segments, probed so
+  // that consecutive probe pairs give zero-width [t, t) slivers, exact
+  // one-segment windows, windows ending or straddling on breakpoints, and
+  // windows wholly before or after the profile.
+  for (int k = 0; k < 1000; ++k) {
+    const double delta =
+        static_cast<double>((static_cast<std::uint64_t>(k) * 37 + seed) % 101);
+    ref.add(at(k), at(k + 1), delta);
+    flat.add(at(k), at(k + 1), delta);
+  }
   for (int k = 0; k < 50; ++k) probes.push_back(rng.uniform(-20, 1020));
+  for (int k = 0; k < 1000; k += 7) {
+    const double t = k;
+    probes.insert(probes.end(), {t, t, t + 1, t + 0.5, t + 1.5});
+  }
+  probes.insert(probes.end(), {-100, -50, 9000, 9100});
   expect_identical(ref, flat, probes, seed);
 }
 
