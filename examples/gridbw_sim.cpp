@@ -12,7 +12,8 @@
 //                [--compact]
 //
 // With --trace-in, the workload is replayed from disk instead of generated,
-// so different schedulers can be compared on the byte-identical trace.
+// so different schedulers can be compared on the byte-identical trace; a
+// malformed trace or a request outside the platform exits 2.
 // With --config, defaults are read from an INI file ([workload] ports,
 // capacity-gbps, interarrival, horizon, slack, seed; [scheduler] spec,
 // retries, retry-backoff); command-line flags override the file.
@@ -20,6 +21,8 @@
 // runs through GREEDY with client resubmission (§2.3 "try later").
 
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "gridbw.hpp"
 
@@ -59,7 +62,24 @@ int main(int argc, char** argv) {
   // Workload: from trace or generated.
   std::vector<Request> requests;
   if (flags.has("trace-in")) {
-    requests = workload::read_trace_file(flags.get_string("trace-in", ""));
+    // A bad trace is a usage error (exit 2), never an abort: malformed rows
+    // and ports outside the --ports platform are both named and rejected.
+    const std::string path = flags.get_string("trace-in", "");
+    try {
+      requests = workload::read_trace_file(path);
+    } catch (const std::runtime_error& e) {
+      std::cerr << "gridbw_sim: " << e.what() << "\n";
+      return 2;
+    }
+    for (const Request& r : requests) {
+      if (r.ingress.value >= network.ingress_count() ||
+          r.egress.value >= network.egress_count()) {
+        std::cerr << "gridbw_sim: " << path << ": request " << r.id << " uses ingress "
+                  << r.ingress.value << ", egress " << r.egress.value
+                  << " outside the " << ports << "x" << ports << " platform (--ports)\n";
+        return 2;
+      }
+    }
     std::cout << "loaded " << requests.size() << " requests from trace\n";
   } else {
     workload::WorkloadSpec spec;

@@ -1,17 +1,12 @@
 #include "core/validate.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
-#include <optional>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/step_function.hpp"
 #include "core/timeline_profile.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gridbw {
 
@@ -23,6 +18,8 @@ std::string to_string(ViolationKind kind) {
     case ViolationKind::kEndAfterDeadline: return "end-after-deadline";
     case ViolationKind::kRateAboveMax: return "rate-above-max";
     case ViolationKind::kRateNotPositive: return "rate-not-positive";
+    case ViolationKind::kBelowGuaranteedFloor: return "below-guaranteed-floor";
+    case ViolationKind::kUnknownPort: return "unknown-port";
     case ViolationKind::kIngressOverCapacity: return "ingress-over-capacity";
     case ViolationKind::kEgressOverCapacity: return "egress-over-capacity";
     case ViolationKind::kProfileMalformed: return "profile-malformed";
@@ -42,28 +39,6 @@ std::string ValidationReport::to_string() const {
   return oss.str();
 }
 
-namespace {
-
-/// One accepted request's load contribution on a single port (reference
-/// engine only; the flat engines build their port profiles during pass 1).
-struct LoadSegment {
-  TimePoint start;
-  TimePoint end;
-  double bw;
-};
-
-/// Capacity verdict from a port's peak load; every engine funnels through
-/// this so the violation text (and the peak double) is engine-independent.
-std::optional<Violation> peak_violation(double peak, Bandwidth capacity,
-                                        ViolationKind kind, std::size_t port) {
-  if (approx_le(Bandwidth::bytes_per_second(peak), capacity)) return std::nullopt;
-  return Violation{kind, 0, port,
-                   "peak " + to_string(Bandwidth::bytes_per_second(peak)) +
-                       " > capacity " + to_string(capacity)};
-}
-
-}  // namespace
-
 ValidationReport validate_assignments(const Network& network,
                                       std::span<const Request> requests,
                                       std::span<const Assignment> assignments,
@@ -78,30 +53,14 @@ ValidationReport validate_assignments(const Network& network,
   by_id.reserve(requests.size());
   for (const Request& r : requests) by_id.emplace(r.id, &r);
 
-  ValidateEngine engine = options.engine;
-  if (engine == ValidateEngine::kAuto) {
-    engine = assignments.size() >= options.parallel_threshold
-                 ? ValidateEngine::kParallel
-                 : ValidateEngine::kSerial;
-  }
-
   const std::size_t in_count = network.ingress_count();
-  const std::size_t port_count = in_count + network.egress_count();
+  const std::size_t out_count = network.egress_count();
+  const std::size_t port_count = in_count + out_count;
 
-  // Pass 1 (serial): per-request checks, plus accumulating every accepted
-  // load by port. The reference engine keeps raw segment lists (it rebuilds
-  // a StepFunction per port); the flat engines add straight into per-port
-  // TimelineProfiles, ingress ports first then egress ports, in assignment
-  // order — the same add sequence as before, so peaks stay bit-identical.
-  std::vector<std::vector<LoadSegment>> ingress_segs;
-  std::vector<std::vector<LoadSegment>> egress_segs;
-  std::vector<TimelineProfile> profiles;
-  if (engine == ValidateEngine::kReference) {
-    ingress_segs.resize(in_count);
-    egress_segs.resize(port_count - in_count);
-  } else {
-    profiles.resize(port_count);
-  }
+  // Pass 1: per-request checks, plus charging every accepted load into
+  // per-port TimelineProfiles (ingress ports first, then egress ports) in
+  // assignment order.
+  std::vector<TimelineProfile> profiles(port_count);
   std::unordered_set<RequestId> seen;
   seen.reserve(assignments.size());
 
@@ -164,7 +123,7 @@ ValidationReport validate_assignments(const Network& network,
       const Bandwidth required_floor =
           max(r.max_rate * options.min_rate_guarantee, r.min_rate_from(a.start));
       if (!approx_le(required_floor, floor_rate)) {
-        flag(ViolationKind::kRateNotPositive, r.id, 0,
+        flag(ViolationKind::kBelowGuaranteedFloor, r.id, 0,
              "guaranteed floor " + gridbw::to_string(required_floor) + " not met by " +
                  gridbw::to_string(floor_rate));
       }
@@ -174,70 +133,38 @@ ValidationReport validate_assignments(const Network& network,
            gridbw::to_string(peak_rate) + " > MaxRate " + gridbw::to_string(r.max_rate));
     }
 
+    // A port outside the network has no profile; charging it would land on
+    // another port's (or past the end), so name it and skip the charge.
+    if (r.ingress.value >= in_count || r.egress.value >= out_count) {
+      const bool bad_ingress = r.ingress.value >= in_count;
+      const std::size_t bad = bad_ingress ? r.ingress.value : r.egress.value;
+      flag(ViolationKind::kUnknownPort, r.id, bad,
+           std::string{bad_ingress ? "ingress " : "egress "} + std::to_string(bad) +
+               " not in the network (" +
+               std::to_string(bad_ingress ? in_count : out_count) + " ports)");
+      continue;
+    }
     // Charge the load one constant-rate segment at a time. Constant
     // assignments emit the exact single segment the pre-profile code added,
     // so constant-only schedules keep bit-identical port peaks.
     a.for_each_segment(r, [&](TimePoint t0, TimePoint t1, Bandwidth rate) {
-      if (engine == ValidateEngine::kReference) {
-        const LoadSegment seg{t0, t1, rate.to_bytes_per_second()};
-        ingress_segs[r.ingress.value].push_back(seg);
-        egress_segs[r.egress.value].push_back(seg);
-      } else {
-        const double bw = rate.to_bytes_per_second();
-        profiles[r.ingress.value].add(t0, t1, bw);
-        profiles[in_count + r.egress.value].add(t0, t1, bw);
-      }
+      const double bw = rate.to_bytes_per_second();
+      profiles[r.ingress.value].add(t0, t1, bw);
+      profiles[in_count + r.egress.value].add(t0, t1, bw);
     });
   }
 
-  // Pass 2: per-port capacity checks. Ports are independent; the report
-  // always lists ingress ports in ascending order, then egress ports.
-  auto port_capacity = [&](std::size_t p) {
-    return p < in_count ? network.ingress_capacity(IngressId{p})
-                        : network.egress_capacity(EgressId{p - in_count});
-  };
-  auto port_kind = [&](std::size_t p) {
-    return p < in_count ? ViolationKind::kIngressOverCapacity
-                        : ViolationKind::kEgressOverCapacity;
-  };
-  auto port_index = [&](std::size_t p) { return p < in_count ? p : p - in_count; };
-
-  std::vector<std::optional<Violation>> port_violations(port_count);
-  if (engine == ValidateEngine::kReference) {
-    for (std::size_t p = 0; p < port_count; ++p) {
-      const auto& segs = p < in_count ? ingress_segs[p] : egress_segs[p - in_count];
-      StepFunction load;
-      for (const LoadSegment& s : segs) load.add(s.start, s.end, s.bw);
-      port_violations[p] =
-          peak_violation(load.global_max(), port_capacity(p), port_kind(p), port_index(p));
-    }
-  } else if (engine == ValidateEngine::kParallel && port_count > 1) {
-    std::size_t threads = options.threads != 0
-                              ? options.threads
-                              : std::max<std::size_t>(
-                                    1, std::thread::hardware_concurrency());
-    threads = std::min(threads, port_count);
-    ThreadPool pool{threads};
-    // Materialization pre-pass: merging the pending buffer mutates the lazy
-    // `mutable` caches, so each profile is merged by exactly one task. After
-    // this barrier every query below is a pure read, and the sweep may share
-    // profiles across threads freely (tests/tsan_stress_test.cpp runs this
-    // path under TSan; dropping the pre-pass makes the first queries race).
-    parallel_for_index(pool, port_count,
-                       [&](std::size_t p) { profiles[p].ensure_merged(); });
-    parallel_for_index(pool, port_count, [&](std::size_t p) {
-      const TimelineProfile& load = profiles[p];
-      port_violations[p] =
-          peak_violation(load.global_max(), port_capacity(p), port_kind(p), port_index(p));
-    });
-  } else {
-    for (std::size_t p = 0; p < port_count; ++p) {
-      port_violations[p] = peak_violation(profiles[p].global_max(), port_capacity(p),
-                                          port_kind(p), port_index(p));
-    }
-  }
-  for (auto& v : port_violations) {
-    if (v.has_value()) report.violations.push_back(std::move(*v));
+  // Pass 2: per-port capacity checks, ingress ports in ascending order,
+  // then egress ports.
+  for (std::size_t p = 0; p < port_count; ++p) {
+    const bool ingress = p < in_count;
+    const Bandwidth capacity = ingress ? network.ingress_capacity(IngressId{p})
+                                       : network.egress_capacity(EgressId{p - in_count});
+    const auto peak = Bandwidth::bytes_per_second(profiles[p].global_max());
+    if (approx_le(peak, capacity)) continue;
+    flag(ingress ? ViolationKind::kIngressOverCapacity : ViolationKind::kEgressOverCapacity,
+         0, ingress ? p : p - in_count,
+         "peak " + gridbw::to_string(peak) + " > capacity " + gridbw::to_string(capacity));
   }
 
   if (options.observer != nullptr) {

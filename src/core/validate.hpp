@@ -7,17 +7,11 @@
 // algorithm produces, so allocation bugs cannot hide behind agreeing
 // bookkeeping.
 //
-// Three interchangeable engines produce identical ValidationReports:
-//
-//  * kReference — the original serial StepFunction (std::map) path, kept as
-//    the obviously-correct baseline the others are differential-tested
-//    against.
-//  * kSerial    — flat TimelineProfile port profiles, serial port sweep.
-//  * kParallel  — flat profiles with the per-port capacity checks fanned out
-//    across a thread pool (ports are independent); violations are merged in
-//    deterministic port order, so the report is byte-identical to kSerial.
-//  * kAuto (default) — kSerial below `parallel_threshold` assignments,
-//    kParallel at or above it.
+// One engine: a serial pass over the assignments runs the per-request
+// checks and charges each accepted load into flat per-port TimelineProfiles;
+// a second pass compares every port's peak with its capacity. The
+// std::map-backed StepFunction peak oracle it is differential-tested
+// against lives in tests/validate_parallel_test.cpp.
 
 #pragma once
 
@@ -41,6 +35,8 @@ enum class ViolationKind {
   kEndAfterDeadline,      // τ(r) > t_f(r)
   kRateAboveMax,          // bw(r) > MaxRate(r) (peak step rate when profiled)
   kRateNotPositive,       // bw(r) <= 0
+  kBelowGuaranteedFloor,  // bw(r) < max(f * MaxRate(r), MinRate-from-start)
+  kUnknownPort,           // request's ingress/egress is not in the network
   kIngressOverCapacity,   // sum of bw at an ingress exceeds B_in(i)
   kEgressOverCapacity,    // sum of bw at an egress exceeds B_out(e)
   kProfileMalformed,      // rate profile fails RateProfile::defect
@@ -64,20 +60,13 @@ struct ValidationReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-enum class ValidateEngine { kAuto, kReference, kSerial, kParallel };
-
 struct ValidateOptions {
   /// The tuning factor f of §2.3: also check
   /// bw(r) >= max(f * MaxRate(r), MinRate-from-start); 0 disables.
   double min_rate_guarantee{0.0};
-  ValidateEngine engine{ValidateEngine::kAuto};
-  /// kAuto switches to the parallel port sweep at this many assignments.
-  std::size_t parallel_threshold{8192};
-  /// Worker threads for kParallel; 0 = hardware concurrency.
-  std::size_t threads{0};
   /// Optional observability hook: bumps kValidatorRuns / kValidatorAssignments
-  /// / kValidatorViolations. Counters only — no events are emitted, so serial
-  /// and parallel engines stay byte-identical in any attached trace.
+  /// / kValidatorViolations. Counters only — no events are emitted, so
+  /// validating never changes an attached trace.
   obs::Observer* observer{nullptr};
 };
 
@@ -87,7 +76,7 @@ struct ValidateOptions {
                                                  const Schedule& schedule,
                                                  const ValidateOptions& options);
 
-/// Back-compatible form: `min_rate_guarantee` only, default engine.
+/// Back-compatible form: `min_rate_guarantee` only.
 [[nodiscard]] ValidationReport validate_schedule(const Network& network,
                                                  std::span<const Request> requests,
                                                  const Schedule& schedule,

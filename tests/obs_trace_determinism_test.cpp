@@ -1,7 +1,7 @@
 // Determinism wall for the observability layer: with the same seed, the
-// JSONL trace is byte-identical across repeat runs, and stays byte-identical
-// whether the schedule is validated with the serial or the parallel engine
-// (the validator emits counters only — commutative merges — never events).
+// JSONL trace and the counter snapshot are byte-identical across repeat
+// runs, validation included (the validator emits counters only, never
+// events).
 
 #include <gtest/gtest.h>
 
@@ -29,9 +29,9 @@ struct TracedRun {
 };
 
 /// Runs the whole Fig. 4 lineup over a seeded workload with a JSONL sink
-/// attached, validating each schedule with `engine`, and returns the full
-/// trace text plus the merged counter snapshot.
-TracedRun traced_run(std::uint64_t seed, ValidateEngine engine) {
+/// attached, validating each schedule, and returns the full trace text plus
+/// the merged counter snapshot.
+TracedRun traced_run(std::uint64_t seed) {
   workload::Scenario scenario =
       workload::paper_rigid(Duration::seconds(1), Duration::seconds(600));
   scenario.spec.mean_interarrival =
@@ -48,8 +48,6 @@ TracedRun traced_run(std::uint64_t seed, ValidateEngine engine) {
     sink.annotate("scheduler", h.name);
     const auto result = h.run(scenario.network, requests, &observer);
     ValidateOptions options;
-    options.engine = engine;
-    options.threads = 4;
     options.observer = &observer;
     const auto report = validate_assignments(scenario.network, requests,
                                              result.schedule.assignments(), options);
@@ -60,24 +58,16 @@ TracedRun traced_run(std::uint64_t seed, ValidateEngine engine) {
 }
 
 TEST(TraceDeterminism, RepeatRunsAreByteIdentical) {
-  const TracedRun a = traced_run(42, ValidateEngine::kSerial);
-  const TracedRun b = traced_run(42, ValidateEngine::kSerial);
+  const TracedRun a = traced_run(42);
+  const TracedRun b = traced_run(42);
   ASSERT_FALSE(a.trace.empty());
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.counters, b.counters);
 }
 
-TEST(TraceDeterminism, SerialAndParallelValidationAgreeByteForByte) {
-  const TracedRun serial = traced_run(42, ValidateEngine::kSerial);
-  const TracedRun parallel = traced_run(42, ValidateEngine::kParallel);
-  EXPECT_EQ(serial.trace, parallel.trace);
-  // Counter totals merge deterministically regardless of thread schedule.
-  EXPECT_EQ(serial.counters, parallel.counters);
-}
-
 TEST(TraceDeterminism, DifferentSeedsProduceDifferentTraces) {
-  const TracedRun a = traced_run(42, ValidateEngine::kSerial);
-  const TracedRun b = traced_run(43, ValidateEngine::kSerial);
+  const TracedRun a = traced_run(42);
+  const TracedRun b = traced_run(43);
   EXPECT_NE(a.trace, b.trace);
 }
 

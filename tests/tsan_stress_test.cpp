@@ -4,14 +4,11 @@
 // functional tests; only under TSan do they additionally prove the absence
 // of data races.
 //
-// The shared-profile tests are the regression for the lazy-merge hazard:
-// TimelineProfile queries mutate `mutable` caches on the first query after
-// a batch of adds, so sharing an *unmerged* profile across threads is a
-// data race. The validator's parallel engine materializes every port
-// profile in a dedicated pre-pass (validate.cpp) before its query sweep;
-// these tests pin both that path and the direct shared-query contract.
-// Dropping `ensure_merged()` below (or the validator's pre-pass) makes TSan
-// halt with a report.
+// The shared-profile test pins TimelineProfile's fan-out contract (DESIGN.md
+// §5d): queries mutate `mutable` caches on the first query after a batch of
+// adds, so sharing an *unmerged* profile across threads is a data race.
+// Whoever shares a profile calls `ensure_merged()` first; dropping that call
+// below makes TSan halt with a report.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +21,6 @@
 #include <vector>
 
 #include "core/timeline_profile.hpp"
-#include "core/validate.hpp"
 #include "obs/counters.hpp"
 #include "service/admission_service.hpp"
 #include "util/thread_pool.hpp"
@@ -53,39 +49,6 @@ BigWorkload big_workload(std::uint64_t seed, std::size_t count) {
   auto requests = workload::generate(scenario.spec, rng);
   if (requests.size() > count) requests.resize(count);
   return BigWorkload{std::move(scenario), std::move(requests)};
-}
-
-TEST(TsanStress, ParallelValidation10kRequestsAcrossSeeds) {
-  for (const std::uint64_t seed : kSeeds) {
-    const auto [scenario, requests] = big_workload(seed, 10000);
-    ASSERT_GT(requests.size(), 5000u);
-
-    // Accept-all at MinRate overloads the ports, so the parallel sweep has
-    // real capacity violations to find and merge deterministically.
-    std::vector<Assignment> assignments;
-    assignments.reserve(requests.size());
-    for (const Request& r : requests) {
-      assignments.push_back(Assignment{r.id, r.release, r.min_rate()});
-    }
-
-    ValidateOptions parallel_opts;
-    parallel_opts.engine = ValidateEngine::kParallel;
-    parallel_opts.threads = 8;
-    const auto parallel =
-        validate_assignments(scenario.network, requests, assignments, parallel_opts);
-
-    ValidateOptions serial_opts;
-    serial_opts.engine = ValidateEngine::kSerial;
-    const auto serial =
-        validate_assignments(scenario.network, requests, assignments, serial_opts);
-
-    EXPECT_FALSE(parallel.ok()) << "seed=" << seed;
-    ASSERT_EQ(parallel.violations.size(), serial.violations.size()) << "seed=" << seed;
-    for (std::size_t k = 0; k < parallel.violations.size(); ++k) {
-      EXPECT_EQ(parallel.violations[k].detail, serial.violations[k].detail)
-          << "seed=" << seed << " #" << k;
-    }
-  }
 }
 
 TEST(TsanStress, SharedMergedProfileSurvivesConcurrentQueries) {

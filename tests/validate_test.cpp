@@ -129,7 +129,9 @@ TEST_F(ValidateTest, GuaranteeFloorChecked) {
   s.accept(1, at(0), mbps(10));  // well above MinRate (1 MB/s) but below 0.8*Max
   EXPECT_TRUE(validate_schedule(net_, rs, s, 0.0).ok());
   const auto report = validate_schedule(net_, rs, s, 0.8);
-  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(has_violation(report, ViolationKind::kBelowGuaranteedFloor));
+  EXPECT_FALSE(has_violation(report, ViolationKind::kRateNotPositive));
+  EXPECT_NE(report.to_string().find("below-guaranteed-floor"), std::string::npos);
 }
 
 TEST_F(ValidateTest, GuaranteeFloorSatisfied) {
@@ -174,19 +176,42 @@ TEST_F(ValidateTest, DuplicateLoadIsNotDoubleCounted) {
 }
 
 TEST_F(ValidateTest, EngineOptionsAgreeOnSmallSchedules) {
+  // The ValidateOptions overload and the back-compatible double overload
+  // run the same single engine and must report the same violations.
   const std::vector<Request> rs{make(1, 0, 100, 6, 100, 0, 0),
                                 make(2, 0, 100, 6, 100, 0, 1)};
   Schedule s;
   s.accept(1, at(0), mbps(60));
   s.accept(2, at(0), mbps(60));
-  for (const auto engine : {ValidateEngine::kReference, ValidateEngine::kSerial,
-                            ValidateEngine::kParallel}) {
-    ValidateOptions options;
-    options.engine = engine;
-    const auto report = validate_schedule(net_, rs, s, options);
-    EXPECT_TRUE(has_violation(report, ViolationKind::kIngressOverCapacity));
-    EXPECT_FALSE(has_violation(report, ViolationKind::kEgressOverCapacity));
+  const auto plain = validate_schedule(net_, rs, s);
+  const auto with_options = validate_schedule(net_, rs, s, ValidateOptions{});
+  for (const auto* report : {&plain, &with_options}) {
+    EXPECT_TRUE(has_violation(*report, ViolationKind::kIngressOverCapacity));
+    EXPECT_FALSE(has_violation(*report, ViolationKind::kEgressOverCapacity));
   }
+  EXPECT_EQ(plain.to_string(), with_options.to_string());
+}
+
+TEST_F(ValidateTest, UnknownPortFlaggedAndNotCharged) {
+  // A 60 MB/s request on ingress 2 of a 2x2 network: charged blindly, its
+  // load would land on egress 0's profile next to its own egress charge and
+  // report a phantom 120 MB/s egress peak that names no bad port.
+  const std::vector<Request> bad_ingress{make(1, 0, 100, 6, 100, 2, 0)};
+  Schedule s;
+  s.accept(1, at(0), mbps(60));
+  const auto report = validate_schedule(net_, bad_ingress, s);
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  EXPECT_EQ(report.violations[0].kind, ViolationKind::kUnknownPort);
+  EXPECT_EQ(report.violations[0].request, 1u);
+  EXPECT_EQ(report.violations[0].port, 2u);
+  EXPECT_NE(report.to_string().find("unknown-port"), std::string::npos);
+
+  // Egress past the end: charging it would write out of bounds.
+  const std::vector<Request> bad_egress{make(1, 0, 100, 6, 100, 0, 5)};
+  const auto egress_report = validate_schedule(net_, bad_egress, s);
+  ASSERT_EQ(egress_report.violations.size(), 1u) << egress_report.to_string();
+  EXPECT_EQ(egress_report.violations[0].kind, ViolationKind::kUnknownPort);
+  EXPECT_EQ(egress_report.violations[0].port, 5u);
 }
 
 TEST_F(ValidateTest, ReportRendering) {

@@ -341,8 +341,7 @@ void check_stepfunction(const Scan& scan) {
   // The std::map-backed StepFunction is the reference implementation kept
   // for differential testing; hot paths use the flat TimelineProfile.
   if (scan.src_rel == "core/step_function.hpp" ||
-      scan.src_rel == "core/step_function.cpp" ||
-      scan.src_rel == "core/validate.cpp") {  // kReference differential engine
+      scan.src_rel == "core/step_function.cpp") {
     return;
   }
   std::size_t pos = 0;
