@@ -3,9 +3,8 @@
 // workload:
 //
 //   *-SLOTS:  SlotsEngine::kRebuild  vs  kIncremental  (all three SlotCosts)
-//   WINDOW:   WindowEngine::kScan    vs  kHeap  vs  kAuto
 //
-// All members of each group are checked to produce the identical schedule
+// Both members of each pair are checked to produce the identical schedule
 // before timing is reported. Results (including slices/sec telemetry) are
 // written to BENCH_engine_speedup.json by default; pass --json=PATH to
 // redirect or --quick for a smoke run that skips the JSON artifact.
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "heuristics/flexible_window.hpp"
 #include "heuristics/rigid_slots.hpp"
 #include "workload/generator.hpp"
 #include "workload/load.hpp"
@@ -31,10 +29,9 @@
 namespace gridbw {
 namespace {
 
-std::vector<Request> workload_of(std::size_t count, bool rigid) {
+std::vector<Request> rigid_workload(std::size_t count) {
   workload::Scenario scenario =
-      rigid ? workload::paper_rigid(Duration::seconds(1), Duration::seconds(1))
-            : workload::paper_flexible(Duration::seconds(1), Duration::seconds(1), 4.0);
+      workload::paper_rigid(Duration::seconds(1), Duration::seconds(1));
   scenario.spec.mean_interarrival =
       workload::interarrival_for_load(scenario.spec, scenario.network, 3.0);
   scenario.spec.horizon =
@@ -89,10 +86,9 @@ int run(int argc, const char* const* argv) {
   const std::size_t scale = static_cast<std::size_t>(
       flags.get_int("scale", args.quick ? 0 : 1000000));
 
-  const auto rigid = workload_of(count, true);
-  const auto flexible = workload_of(count, false);
-  std::cout << "workload: " << rigid.size() << " rigid / " << flexible.size()
-            << " flexible requests, " << reps << " timed runs each\n";
+  const auto rigid = rigid_workload(count);
+  std::cout << "workload: " << rigid.size() << " rigid requests, " << reps
+            << " timed runs each\n";
 
   Table table{{"kernel", "engine", "wall_s", "speedup", "slices", "skipped",
                "admission_checks", "slices_per_s"}};
@@ -143,52 +139,13 @@ int run(int argc, const char* const* argv) {
     }
   }
 
-  {
-    heuristics::WindowOptions opt;
-    opt.step = Duration::seconds(100);
-    opt.policy = heuristics::BandwidthPolicy::fraction_of_max(1.0);
-    // Window runs drain microsecond-scale batches, so engine ratios sit
-    // within scheduler noise of 1.0 on this workload; extra reps plus
-    // best-of-reps ratios keep the reported speedups stable run to run.
-    const std::size_t window_reps = args.quick ? 1 : 3 * reps;
-    ScheduleResult ref;
-    opt.engine = heuristics::WindowEngine::kScan;
-    const RunningStats ref_wall = time_runs(
-        window_reps,
-        [&] { return heuristics::schedule_flexible_window(paper_network(), flexible, opt); },
-        &ref);
-    table.add_row({"window", "scan", format_double(ref_wall.mean(), 4), "1.00x", "-",
-                   "-", "-", "-"});
-    names.push_back("window/scan");
-    walls.push_back(ref_wall);
-    for (const auto engine :
-         {heuristics::WindowEngine::kHeap, heuristics::WindowEngine::kAuto}) {
-      ScheduleResult fast;
-      opt.engine = engine;
-      const RunningStats fast_wall = time_runs(
-          window_reps,
-          [&] { return heuristics::schedule_flexible_window(paper_network(), flexible, opt); },
-          &fast);
-      if (!same_schedule(ref, fast)) {
-        std::cerr << "FATAL: engines diverge for window/" << to_string(engine) << "\n";
-        return 1;
-      }
-      const double speedup =
-          fast_wall.min() > 0.0 ? ref_wall.min() / fast_wall.min() : 0.0;
-      table.add_row({"window", to_string(engine), format_double(fast_wall.mean(), 4),
-                     format_double(speedup, 2) + "x", "-", "-", "-", "-"});
-      names.push_back("window/" + to_string(engine));
-      walls.push_back(fast_wall);
-    }
-  }
-
   // Scaling row: CUMULATED-SLOTS incremental alone at `scale` requests. The
   // rebuild oracle re-sorts and re-admits every active request per slice —
   // quadratic in practice — so only the incremental engine is timed here;
   // its schedule is differentially verified against rebuild at the 10k size
   // above (and in tests/incremental_engine_test.cpp).
   if (scale > 0) {
-    const auto big = workload_of(scale, true);
+    const auto big = rigid_workload(scale);
     std::cout << "scaling workload: " << big.size() << " rigid requests\n";
     ScheduleResult result;
     heuristics::SlotsTelemetry tm;

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "baseline/maxmin.hpp"
-#include "core/step_function.hpp"
+#include "support/step_function.hpp"
 #include "core/timeline_profile.hpp"
 #include "heuristics/flexible_greedy.hpp"
 #include "heuristics/flexible_window.hpp"

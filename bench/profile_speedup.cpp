@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/step_function.hpp"
+#include "support/step_function.hpp"
 #include "core/timeline_profile.hpp"
 #include "core/validate.hpp"
 #include "util/random.hpp"

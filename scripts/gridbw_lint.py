@@ -2,7 +2,7 @@
 """gridbw-lint: repository hygiene for non-C++ assets.
 
 The C++ domain rules that used to live here (quantity-api, rng-locality,
-stepfunction-hot-path, wall-clock) are owned by the in-tree static analyzer
+wall-clock) are owned by the in-tree static analyzer
 now — `tools/gridbw_analyze` (ctest `gridbw_analyze`), which also enforces
 layering, unordered-iteration determinism, float formatting, and hot-path
 hygiene with proper lexing and a committed baseline. This script keeps the

@@ -1,9 +1,10 @@
 // gridbw/core/timeline_profile.hpp
 //
-// Flat, cache-friendly drop-in for StepFunction: the same piecewise-constant
-// right-continuous port-load profile, stored as sorted breakpoint/delta
-// vectors (SoA) with lazily rebuilt prefix-sum and prefix-max caches instead
-// of a std::map of deltas.
+// Flat, cache-friendly port-load profile: a piecewise-constant
+// right-continuous function of time, stored as sorted breakpoint/delta
+// vectors (SoA) with lazily rebuilt prefix-sum and prefix-max caches. Its
+// reference is the std::map-of-deltas step function of the test-support
+// library (tests/support/step_function.hpp), which no library code uses.
 //
 //  * `add` is O(1): it appends to a pending buffer. The buffer is merged
 //    into the sorted arrays in place on the first query after a batch of k
@@ -21,7 +22,7 @@
 //    chasing); left-anchored max windows resolve O(log n) off the cache.
 //
 // Numerical contract: every query returns the bit-identical double that
-// StepFunction would return for the same sequence of `add` calls. Deltas
+// the reference returns for the same sequence of `add` calls. Deltas
 // landing on the same instant accumulate in call order (exactly like the
 // map's `operator+=`), prefix sums run left-to-right over the merged
 // deltas (exactly like the map scans), and `integral` accumulates the same

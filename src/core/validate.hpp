@@ -9,9 +9,10 @@
 //
 // One engine: a serial pass over the assignments runs the per-request
 // checks and charges each accepted load into flat per-port TimelineProfiles;
-// a second pass compares every port's peak with its capacity. The
-// std::map-backed StepFunction peak oracle it is differential-tested
-// against lives in tests/validate_parallel_test.cpp.
+// a second pass compares every port's peak with its capacity. It is
+// differential-tested in tests/validate_parallel_test.cpp against a peak
+// oracle built on the test-support map-of-deltas step function
+// (tests/support/step_function.hpp).
 
 #pragma once
 

@@ -39,7 +39,6 @@
 #include "core/request.hpp"
 #include "core/schedule.hpp"
 #include "core/schedule_io.hpp"
-#include "core/step_function.hpp"
 #include "core/timeline_profile.hpp"
 #include "core/validate.hpp"
 

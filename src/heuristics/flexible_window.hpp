@@ -11,7 +11,10 @@
 //
 // while that minimum stays <= 1; the remaining candidates are rejected.
 // Admitted transfers start at the decision instant, so their feasible
-// minimum rate is vol / (t_f - decision_time).
+// minimum rate is vol / (t_f - decision_time). The interval loop and its
+// selection drain live in heuristics/window_select.hpp, shared with the
+// malleable WINDOW; tests/support holds the literal scan they are tested
+// against.
 //
 // The optional hot-spot-aware cost (paper §7 future work: "relieving
 // tentative hot spots") adds a penalty proportional to the ports' standing
@@ -41,27 +44,6 @@ enum class CandidateOrder {
 
 [[nodiscard]] std::string to_string(CandidateOrder order);
 
-/// How the per-interval loop finds the next-best candidate. All engines
-/// produce identical schedules (enforced by the differential tests):
-/// kScan is the literal O(C²) reference — re-evaluate every remaining
-/// candidate per admission; kHeap keeps candidates in a lazily-refreshed
-/// min-heap (costs only grow as admissions consume capacity, so a stale key
-/// is always a lower bound and a refreshed top is the true minimum).
-///
-/// Small batches favour the scan: below ~16 candidates the heap's push/pop
-/// and double cost evaluation (build + refresh) cost more than the brute
-/// quadratic re-scan, which is exactly why the heap engine used to lose to
-/// the reference on arrival-paced workloads whose intervals batch only a
-/// handful of requests. kAuto picks per interval: scan below the measured
-/// break-even batch size, heap at or above it.
-enum class WindowEngine {
-  kScan,  // reference: linear re-scan per admission
-  kHeap,  // lazy min-heap selection (wins on large batches)
-  kAuto,  // default: per-interval crossover between the two
-};
-
-[[nodiscard]] std::string to_string(WindowEngine engine);
-
 struct WindowOptions {
   /// Interval length t_step. Longer intervals batch more candidates and
   /// schedule better, at the price of request response latency (§5.2).
@@ -74,8 +56,6 @@ struct WindowOptions {
   double hotspot_weight{0.0};
 
   CandidateOrder order{CandidateOrder::kMinCost};
-
-  WindowEngine engine{WindowEngine::kAuto};
 };
 
 [[nodiscard]] ScheduleResult schedule_flexible_window(const Network& network,

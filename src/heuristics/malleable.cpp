@@ -4,16 +4,14 @@
 #include <cmath>
 #include <limits>
 #include <queue>
-#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
 #include "core/ledger.hpp"
+#include "heuristics/window_select.hpp"
 
 namespace gridbw::heuristics {
 namespace {
-
-constexpr std::size_t kInvalid = static_cast<std::size_t>(-1);
 
 /// Same layout and comparator as the constant engines' completion queue —
 /// with reshaping off the push sequence is identical too, so the pop order
@@ -244,44 +242,6 @@ class FluidBook {
   std::vector<double> out_count_;
 };
 
-// --- WINDOW candidate selection (mirrors flexible_window.cpp's scan
-// engine expression-for-expression; the differential suite pins the two) ---
-
-struct Candidate {
-  const Request* request;
-  Bandwidth bw;  // the guarantee the policy would grant at the decision instant
-};
-
-double candidate_cost(const CounterLedger& counters, const Candidate& c,
-                      double hotspot_weight) {
-  const Request& r = *c.request;
-  double cost = std::max(counters.ingress_util_with(r.ingress, c.bw),
-                         counters.egress_util_with(r.egress, c.bw));
-  if (hotspot_weight > 0.0) {
-    const double standing =
-        (counters.ingress_util_with(r.ingress, Bandwidth::zero()) +
-         counters.egress_util_with(r.egress, Bandwidth::zero())) /
-        2.0;
-    cost += hotspot_weight * standing;
-  }
-  return cost;
-}
-
-double selection_cost(const CounterLedger& counters, const Candidate& c,
-                      const MalleableOptions& options) {
-  switch (options.order) {
-    case CandidateOrder::kMinCost:
-      return candidate_cost(counters, c, options.hotspot_weight);
-    case CandidateOrder::kEarliestDeadline:
-      return c.request->deadline.to_seconds();
-    case CandidateOrder::kShortestJob:
-      return (c.request->volume / c.bw).to_seconds();
-  }
-  throw std::logic_error{"selection_cost: bad candidate order"};
-}
-
-bool cost_tied(double cost, double min_cost) { return approx_le(cost, min_cost); }
-
 }  // namespace
 
 ScheduleResult schedule_malleable_greedy(const Network& network,
@@ -333,102 +293,23 @@ ScheduleResult schedule_malleable_window(const Network& network,
                                          std::span<const Request> requests,
                                          const MalleableOptions& options,
                                          obs::Observer* observer) {
-  if (!options.step.is_positive() || !std::isfinite(options.step.to_seconds())) {
-    throw std::invalid_argument{
-        "schedule_malleable_window: step must be positive and finite"};
-  }
-  if (!(options.hotspot_weight >= 0.0) || !std::isfinite(options.hotspot_weight)) {
-    throw std::invalid_argument{
-        "schedule_malleable_window: hotspot_weight must be finite and >= 0"};
-  }
-
   ScheduleResult result;
-  std::vector<Request> order;
-  order.reserve(requests.size());
-  for (const Request& r : requests) {
-    obs::note_submitted(observer, r.id, r.release);
-    if (!(r.deadline > r.release)) {
-      result.rejected.push_back(r.id);
-      obs::note_rejected(observer, r.id, r.release,
-                         obs::RejectReason::kDegenerateWindow);
-      continue;
-    }
-    order.push_back(r);
-  }
-  sort_fcfs(order);
-  if (order.empty()) return result;
-
+  const std::vector<Request> arrivals =
+      window_arrivals(requests, options.step, options.hotspot_weight, result, observer);
   CounterLedger counters{network};
   FluidBook book{network, options.reshape, observer, result};
-  std::vector<Candidate> candidates;
-  std::vector<double> cost_scratch;
-
-  std::size_t next_arrival = 0;
-  TimePoint interval_start = order.front().release;
-
-  while (next_arrival < order.size()) {
-    const TimePoint decision = interval_start + options.step;
-
-    candidates.clear();
-    while (next_arrival < order.size() && order[next_arrival].release < decision) {
-      const Request& r = order[next_arrival++];
-      const auto g = options.policy.assign(r, decision);
-      if (g.has_value()) {
-        candidates.push_back(Candidate{&r, *g});
-      } else {
-        result.rejected.push_back(r.id);
-        obs::note_rejected(observer, r.id, decision,
-                           obs::RejectReason::kInfeasibleRate);
-      }
-    }
-
-    // Fluid events (completions + the reshapes they trigger) up to the
-    // decision instant — the counter state every admission below sees is
-    // exactly what the constant WINDOW's lazy reclaim produces.
-    book.run_until(decision, counters);
-
-    // Scan-engine drain (the reference selection; flexible_window's heap
-    // makes identical decisions, so one engine suffices here).
-    while (!candidates.empty()) {
-      cost_scratch.resize(candidates.size());
-      double min_cost = std::numeric_limits<double>::infinity();
-      for (std::size_t k = 0; k < candidates.size(); ++k) {
-        cost_scratch[k] = selection_cost(counters, candidates[k], options);
-        min_cost = std::min(min_cost, cost_scratch[k]);
-      }
-      std::size_t best = kInvalid;
-      for (std::size_t k = 0; k < candidates.size(); ++k) {
-        if (!cost_tied(cost_scratch[k], min_cost)) continue;
-        if (best == kInvalid ||
-            candidates[k].request->id < candidates[best].request->id) {
-          best = k;
-        }
-      }
-      const Candidate chosen = candidates[best];
-      candidates[best] = candidates.back();
-      candidates.pop_back();
-
-      const Request& r = *chosen.request;
-      if (candidate_cost(counters, chosen, 0.0) > 1.0 + 1e-12) {
-        result.rejected.push_back(r.id);
-        if (observer != nullptr) {
-          obs::note_rejected(
-              observer, r.id, decision,
-              obs::classify_saturation(
-                  counters.ingress_util_with(r.ingress, chosen.bw) <= 1.0 + 1e-12,
-                  counters.egress_util_with(r.egress, chosen.bw) <= 1.0 + 1e-12));
-        }
-        continue;
-      }
-      counters.allocate(r.ingress, r.egress, chosen.bw);
-      obs::note_accepted(observer, r.id, decision, decision, chosen.bw);
-      book.admit(r, decision, chosen.bw);
-    }
-
-    if (next_arrival < order.size()) {
-      interval_start = gridbw::max(decision, order[next_arrival].release);
-    }
-  }
+  WindowSelector selector{options.order, options.hotspot_weight, observer};
+  // Fluid events (completions and the reshapes they trigger) run up to each
+  // decision instant before its drain, so the counters a drain sees are
+  // exactly what the constant WINDOW's lazy reclaim produces. FluidBook::admit
+  // never sees `counters`, which keeps the drain's invariant
+  // (window_select.hpp).
+  selector.run(
+      arrivals, options.step, options.policy, counters, result,
+      [&](TimePoint decision) { book.run_until(decision, counters); },
+      [&](const WindowCandidate& c, TimePoint decision) {
+        book.admit(*c.request, decision, c.bw);
+      });
   book.drain_all(counters);
   return result;
 }

@@ -46,7 +46,7 @@ struct MalleableOptions {
   bool reshape{true};
 
   /// WINDOW variant only: interval length and candidate order (the same
-  /// knobs as WindowOptions; the malleable drain is the scan engine).
+  /// knobs as WindowOptions, drained by the same heuristics/window_select).
   Duration step{Duration::seconds(400)};
   CandidateOrder order{CandidateOrder::kMinCost};
   double hotspot_weight{0.0};

@@ -22,7 +22,6 @@ std::string to_string(Counter counter) {
     case Counter::kLedgerDriftClamped: return "ledger_drift_clamped";
     case Counter::kProfileCompactions: return "profile_compactions";
     case Counter::kBreakpointsRetired: return "breakpoints_retired";
-    case Counter::kWindowScanDrains: return "window_scan_drains";
     case Counter::kWindowHeapDrains: return "window_heap_drains";
     case Counter::kValidatorRuns: return "validator_runs";
     case Counter::kValidatorAssignments: return "validator_assignments";

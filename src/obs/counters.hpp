@@ -47,10 +47,10 @@ enum class Counter : std::size_t {
   // per-port compaction passes and the breakpoints they folded away.
   kProfileCompactions,
   kBreakpointsRetired,
-  // WINDOW selection-engine adoption: which drain engine each interval's
-  // batch actually ran (kAuto picks scan below the break-even batch size,
-  // heap at or above it; empty batches count nothing).
-  kWindowScanDrains,
+  // WINDOW selection drains (heuristics/window_select): one per non-empty
+  // interval batch, `window` and `mwindow` alike. The name predates the
+  // single engine and is kept because bench reports derive
+  // candidates_per_drain from it.
   kWindowHeapDrains,
   // Validator activity.
   kValidatorRuns,

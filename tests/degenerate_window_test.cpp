@@ -13,6 +13,7 @@
 #include "heuristics/flexible_bookahead.hpp"
 #include "heuristics/flexible_greedy.hpp"
 #include "heuristics/flexible_window.hpp"
+#include "heuristics/registry.hpp"
 #include "heuristics/rigid_fcfs.hpp"
 #include "heuristics/rigid_slots.hpp"
 
@@ -87,16 +88,17 @@ TEST(DegenerateWindow, FlexibleGreedyRejectsUpFront) {
 }
 
 TEST(DegenerateWindow, FlexibleWindowRejectsUpFrontInBothEngines) {
+  // window and mwindow (reshaping off) both run the shared WINDOW loop.
   const Network net = Network::uniform(2, 2, mbps(100));
   const auto requests = mixed_workload();
-  for (const auto engine :
-       {heuristics::WindowEngine::kScan, heuristics::WindowEngine::kHeap}) {
-    heuristics::WindowOptions opt;
-    opt.step = Duration::seconds(10);
-    opt.engine = engine;
-    expect_degenerates_rejected(
-        heuristics::schedule_flexible_window(net, requests, opt),
-        to_string(engine).c_str());
+  heuristics::WindowOptions opt;
+  opt.step = Duration::seconds(10);
+  heuristics::MalleableOptions mopt;
+  mopt.step = opt.step;
+  mopt.reshape = false;
+  for (const heuristics::NamedScheduler& engine :
+       {heuristics::make_window(opt), heuristics::make_malleable_window(mopt)}) {
+    expect_degenerates_rejected(engine.run(net, requests), engine.name.c_str());
   }
 }
 

@@ -11,6 +11,7 @@
 #include "heuristics/flexible_window.hpp"
 #include "heuristics/flexible_bookahead.hpp"
 #include "heuristics/parse.hpp"
+#include "heuristics/registry.hpp"
 #include "heuristics/retry.hpp"
 #include "workload/generator.hpp"
 #include "workload/scenario.hpp"
@@ -102,7 +103,8 @@ TEST(WindowTieBreak, NearEqualCostsBreakTiesByRequestId) {
   // contend for an egress that fits one of them. An exact `<` comparison
   // would let the infinitesimally cheaper (higher-id) candidate win or lose
   // depending on rounding; the epsilon-aware tie-break must deterministically
-  // pick the smaller request id — in both selection engines.
+  // pick the smaller request id — in window and in mwindow, which share the
+  // selection drain.
   const Bandwidth out_cap = Bandwidth::megabytes_per_second(100);
   const Bandwidth in_cap = Bandwidth::megabytes_per_second(99);
   // Request 2's ingress is a hair *larger*, so its cost is a hair *smaller*:
@@ -125,12 +127,15 @@ TEST(WindowTieBreak, NearEqualCostsBreakTiesByRequestId) {
   heuristics::WindowOptions opt;
   opt.step = Duration::seconds(10);
   opt.policy = heuristics::BandwidthPolicy::fraction_of_max(1.0);
-  for (const auto engine :
-       {heuristics::WindowEngine::kScan, heuristics::WindowEngine::kHeap}) {
-    opt.engine = engine;
-    const auto result = heuristics::schedule_flexible_window(net, rs, opt);
-    EXPECT_TRUE(result.schedule.is_accepted(1)) << to_string(engine);
-    EXPECT_FALSE(result.schedule.is_accepted(2)) << to_string(engine);
+  heuristics::MalleableOptions mopt;
+  mopt.step = opt.step;
+  mopt.policy = opt.policy;
+  mopt.reshape = false;
+  for (const heuristics::NamedScheduler& engine :
+       {heuristics::make_window(opt), heuristics::make_malleable_window(mopt)}) {
+    const auto result = engine.run(net, rs);
+    EXPECT_TRUE(result.schedule.is_accepted(1)) << engine.name;
+    EXPECT_FALSE(result.schedule.is_accepted(2)) << engine.name;
   }
 }
 

@@ -2,7 +2,9 @@
 // their paper-literal references, on randomized workloads:
 //
 //   rigid *-SLOTS:  SlotsEngine::kIncremental vs kRebuild, all 3 SlotCosts
-//   WINDOW:         WindowEngine::kHeap vs kScan, all orders + hotspot
+//   WINDOW:         the shared heap drain (window, and mwindow with
+//                   reshaping off) vs the test-support scan, all orders +
+//                   hotspot
 //
 // (ISSUE acceptance criterion: schedules must match exactly, several seeds.)
 
@@ -10,14 +12,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <tuple>
 #include <vector>
 
 #include "heuristics/flexible_window.hpp"
+#include "heuristics/malleable.hpp"
 #include "heuristics/rigid_slots.hpp"
-#include "obs/counters.hpp"
-#include "obs/observer.hpp"
-#include "obs/trace_sink.hpp"
+#include "support/window_scan.hpp"
 #include "workload/generator.hpp"
 #include "workload/scenario.hpp"
 
@@ -163,6 +165,20 @@ static_assert(sizeof(WindowCase) == sizeof(WindowCase::order) +
                                         sizeof(WindowCase::hotspot),
               "WindowCase must have no padding bytes");
 
+/// The malleable WINDOW with reshaping off, configured like `opt`: it
+/// admits through the same drain, so it must match the scan as well.
+ScheduleResult rigid_malleable_window(const workload::Scenario& scenario,
+                                      std::span<const Request> requests,
+                                      const heuristics::WindowOptions& opt) {
+  heuristics::MalleableOptions mopt;
+  mopt.policy = opt.policy;
+  mopt.reshape = false;
+  mopt.step = opt.step;
+  mopt.order = opt.order;
+  mopt.hotspot_weight = opt.hotspot_weight;
+  return heuristics::schedule_malleable_window(scenario.network, requests, mopt);
+}
+
 class WindowEngineDifferential : public ::testing::TestWithParam<WindowCase> {};
 
 TEST_P(WindowEngineDifferential, HeapMatchesScanOnRandomWorkloads) {
@@ -180,14 +196,15 @@ TEST_P(WindowEngineDifferential, HeapMatchesScanOnRandomWorkloads) {
     opt.order = param.order;
     opt.hotspot_weight = param.hotspot;
 
-    opt.engine = heuristics::WindowEngine::kScan;
-    const auto reference =
-        heuristics::schedule_flexible_window(scenario.network, requests, opt);
-    opt.engine = heuristics::WindowEngine::kHeap;
+    const auto reference = oracle::schedule_window_by_scan(scenario.network, requests, opt);
     const auto fast =
         heuristics::schedule_flexible_window(scenario.network, requests, opt);
     EXPECT_EQ(fingerprint(reference), fingerprint(fast))
         << to_string(param.order) << " hotspot=" << param.hotspot
+        << " seed=" << seed;
+    EXPECT_EQ(fingerprint(reference),
+              fingerprint(rigid_malleable_window(scenario, requests, opt)))
+        << "mwindow " << to_string(param.order) << " hotspot=" << param.hotspot
         << " seed=" << seed;
   }
 }
@@ -202,84 +219,6 @@ INSTANTIATE_TEST_SUITE_P(
         WindowCase{.order = heuristics::CandidateOrder::kShortestJob,
                    .hotspot = 0.0}));
 
-TEST_P(WindowEngineDifferential, AutoMatchesScanOnRandomWorkloads) {
-  // kAuto flips between scan and heap per interval at the break-even batch
-  // size; both legs are decision-identical, so the crossover must be
-  // invisible in the schedule. The dense scenario pushes batches above the
-  // threshold, the sparse one keeps them below, so both legs execute.
-  const auto param = GetParam();
-  for (const std::uint64_t seed : kSeeds) {
-    for (const double interarrival : {0.1, 2.0}) {
-      const workload::Scenario scenario = workload::paper_flexible(
-          Duration::seconds(interarrival), Duration::seconds(600), 4.0);
-      Rng rng{seed};
-      const auto requests = workload::generate(scenario.spec, rng);
-
-      heuristics::WindowOptions opt;
-      opt.step = Duration::seconds(50);
-      opt.policy = heuristics::BandwidthPolicy::fraction_of_max(0.8);
-      opt.order = param.order;
-      opt.hotspot_weight = param.hotspot;
-
-      opt.engine = heuristics::WindowEngine::kScan;
-      const auto reference =
-          heuristics::schedule_flexible_window(scenario.network, requests, opt);
-      opt.engine = heuristics::WindowEngine::kAuto;
-      const auto fast =
-          heuristics::schedule_flexible_window(scenario.network, requests, opt);
-      EXPECT_EQ(fingerprint(reference), fingerprint(fast))
-          << to_string(param.order) << " hotspot=" << param.hotspot
-          << " seed=" << seed << " interarrival=" << interarrival;
-    }
-  }
-}
-
-TEST(WindowEngineDifferential, AutoTieAtBreakEvenBatchPicksTheHeap) {
-  // kAuto resolves `candidates.size() < kHeapBreakEvenBatch(16) ? scan : heap`
-  // per interval. The tie at exactly 16 candidates must land on the heap, and
-  // 15 on the scan — pinned through the per-drain engine counters so a future
-  // `<=` / off-by-one edit trips this test rather than silently flipping the
-  // engine at the break-even point.
-  const Network net = Network::uniform(2, 2, Bandwidth::megabytes_per_second(1000));
-  const auto flow = [](RequestId id) {
-    Request r;
-    r.id = id;
-    r.ingress = IngressId{static_cast<std::size_t>(id % 2)};
-    r.egress = EgressId{static_cast<std::size_t>(id % 2)};
-    r.release = TimePoint::origin();
-    r.deadline = TimePoint::at_seconds(100);
-    r.volume = Volume::megabytes(10);
-    r.max_rate = Bandwidth::megabytes_per_second(10);
-    return r;
-  };
-  for (const std::size_t batch : {std::size_t{15}, std::size_t{16}}) {
-    std::vector<Request> requests;
-    for (std::size_t k = 1; k <= batch; ++k) requests.push_back(flow(RequestId{k}));
-
-    heuristics::WindowOptions opt;
-    opt.step = Duration::seconds(50);
-    opt.engine = heuristics::WindowEngine::kAuto;
-    obs::MemorySink sink;
-    obs::CounterRegistry counters;
-    obs::Observer observer{&sink, &counters};
-    const auto result =
-        heuristics::schedule_flexible_window(net, requests, opt, &observer);
-
-    // Every request fits comfortably, so the whole batch drains in the first
-    // (and only) non-empty interval.
-    EXPECT_EQ(result.schedule.assignments().size(), batch);
-    const std::uint64_t scans = counters.value(obs::Counter::kWindowScanDrains);
-    const std::uint64_t heaps = counters.value(obs::Counter::kWindowHeapDrains);
-    if (batch == 16) {
-      EXPECT_EQ(scans, 0u) << "tie at break-even must not pick the scan";
-      EXPECT_EQ(heaps, 1u);
-    } else {
-      EXPECT_EQ(scans, 1u);
-      EXPECT_EQ(heaps, 0u) << "below break-even must stay on the scan";
-    }
-  }
-}
-
 TEST(WindowEngineDifferential, MinRatePolicyAlsoMatches) {
   const workload::Scenario scenario =
       workload::paper_flexible(Duration::seconds(1), Duration::seconds(400), 4.0);
@@ -288,13 +227,12 @@ TEST(WindowEngineDifferential, MinRatePolicyAlsoMatches) {
   heuristics::WindowOptions opt;
   opt.step = Duration::seconds(100);
   opt.policy = heuristics::BandwidthPolicy::min_rate();
-  opt.engine = heuristics::WindowEngine::kScan;
-  const auto reference =
-      heuristics::schedule_flexible_window(scenario.network, requests, opt);
-  opt.engine = heuristics::WindowEngine::kHeap;
+  const auto reference = oracle::schedule_window_by_scan(scenario.network, requests, opt);
   const auto fast =
       heuristics::schedule_flexible_window(scenario.network, requests, opt);
   EXPECT_EQ(fingerprint(reference), fingerprint(fast));
+  EXPECT_EQ(fingerprint(reference),
+            fingerprint(rigid_malleable_window(scenario, requests, opt)));
 }
 
 }  // namespace

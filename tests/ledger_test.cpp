@@ -12,7 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/step_function.hpp"
+#include "support/step_function.hpp"
 #include "util/random.hpp"
 #include "workload/generator.hpp"
 #include "workload/load.hpp"

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "obs/counters.hpp"
 #include "obs/observer.hpp"
 #include "obs/trace_sink.hpp"
+#include "support/window_scan.hpp"
 #include "workload/generator.hpp"
 #include "workload/scenario.hpp"
 
@@ -114,7 +116,6 @@ TEST(MalleableDifferential, RigidWindowMatchesFlexibleWindowByteForByte) {
       WindowOptions wopt;
       wopt.policy = BandwidthPolicy::min_rate();
       wopt.step = Duration::seconds(step);
-      wopt.engine = WindowEngine::kScan;  // the malleable drain is the scan
       const TracedRun rigid = traced(net, requests, make_malleable_window(mopt));
       const TracedRun constant = traced(net, requests, make_window(wopt));
       EXPECT_EQ(rigid.trace, constant.trace) << "seed=" << seed << " step=" << step;
@@ -125,9 +126,8 @@ TEST(MalleableDifferential, RigidWindowMatchesFlexibleWindowByteForByte) {
 }
 
 TEST(MalleableDifferential, WindowHeapAndScanStillAgreeWithRigidMalleable) {
-  // The heap engine makes identical decisions to the scan; the malleable
-  // differential must therefore hold against it too (trace modulo nothing:
-  // drain engines do not emit events, only counters).
+  // window and mwindow share the heap drain; the test-support scan is the
+  // oracle both must match, trace and schedule alike.
   const Network net = seeded_network();
   const auto requests = seeded_workload(42, 0.5);
   MalleableOptions mopt;
@@ -135,11 +135,18 @@ TEST(MalleableDifferential, WindowHeapAndScanStillAgreeWithRigidMalleable) {
   mopt.reshape = false;
   WindowOptions wopt;
   wopt.policy = BandwidthPolicy::min_rate();
-  wopt.engine = WindowEngine::kHeap;
+  const NamedScheduler scan{"window-scan",
+                            [wopt](const Network& n, std::span<const Request> r,
+                                   obs::Observer* o) {
+                              return oracle::schedule_window_by_scan(n, r, wopt, o);
+                            }};
   const TracedRun rigid = traced(net, requests, make_malleable_window(mopt));
   const TracedRun heap = traced(net, requests, make_window(wopt));
-  EXPECT_EQ(rigid.trace, heap.trace);
-  EXPECT_EQ(rigid.csv, heap.csv);
+  const TracedRun reference = traced(net, requests, scan);
+  EXPECT_EQ(rigid.trace, reference.trace);
+  EXPECT_EQ(rigid.csv, reference.csv);
+  EXPECT_EQ(heap.trace, reference.trace);
+  EXPECT_EQ(heap.csv, reference.csv);
 }
 
 // -- reshape=true: safety ----------------------------------------------------

@@ -293,22 +293,26 @@ TEST(Reconciliation, FlexibleGreedy) {
 }
 
 TEST(Reconciliation, FlexibleWindowBothEngines) {
+  // Both engines on the shared WINDOW drain: the constant one and the
+  // malleable one with reshaping off.
   const workload::Scenario scenario = workload::paper_flexible(
       Duration::seconds(0.5), Duration::seconds(600), 4.0);
   Rng rng{904};
   const auto requests = workload::generate(scenario.spec, rng);
-  for (const heuristics::WindowEngine engine :
-       {heuristics::WindowEngine::kScan, heuristics::WindowEngine::kHeap}) {
-    heuristics::WindowOptions options;
-    options.step = Duration::seconds(100);
-    options.engine = engine;
+  heuristics::WindowOptions options;
+  options.step = Duration::seconds(100);
+  heuristics::MalleableOptions malleable;
+  malleable.step = options.step;
+  malleable.policy = options.policy;
+  malleable.reshape = false;
+  for (const heuristics::NamedScheduler& engine :
+       {heuristics::make_window(options), heuristics::make_malleable_window(malleable)}) {
     MemorySink sink;
     CounterRegistry counters;
     Observer observer{&sink, &counters};
-    const auto result = heuristics::schedule_flexible_window(scenario.network, requests,
-                                                             options, &observer);
+    const auto result = engine.run(scenario.network, requests, &observer);
     expect_reconciles(sink, counters, result, requests.size());
-    EXPECT_EQ(sink.count(EventKind::kReclaimed), result.accepted_count());
+    EXPECT_EQ(sink.count(EventKind::kReclaimed), result.accepted_count()) << engine.name;
   }
 }
 

@@ -1,6 +1,6 @@
 // Unit and property tests for the piecewise-constant allocation profile.
 
-#include "core/step_function.hpp"
+#include "support/step_function.hpp"
 
 #include <gtest/gtest.h>
 

@@ -17,7 +17,7 @@
 #include <span>
 #include <vector>
 
-#include "core/step_function.hpp"
+#include "support/step_function.hpp"
 #include "util/random.hpp"
 
 namespace gridbw {

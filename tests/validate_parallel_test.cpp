@@ -13,7 +13,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/step_function.hpp"
+#include "support/step_function.hpp"
 #include "core/validate.hpp"
 #include "workload/generator.hpp"
 #include "workload/load.hpp"

@@ -14,10 +14,6 @@
 //   wall-clock      real-time reads outside the experiment harness and the
 //                   observability sinks (simulated time flows via TimePoint)
 //   rng-locality    random engines constructed outside util/random
-//   stepfunction-hot-path
-//                   the std::map-backed reference StepFunction used outside
-//                   its home files and the differential validator — hot
-//                   paths use the flat core/timeline_profile.hpp
 //   float-format    float formatting that bypasses the shortest-round-trip
 //                   helpers (std::to_string on doubles, std::setprecision,
 //                   raw printf floats inside the trace/export layer)

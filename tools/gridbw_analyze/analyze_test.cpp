@@ -59,7 +59,6 @@ TEST(GoldenFixtures, Layering) { expect_golden("layering"); }
 TEST(GoldenFixtures, UnorderedIter) { expect_golden("unordered_iter"); }
 TEST(GoldenFixtures, WallClock) { expect_golden("wall_clock"); }
 TEST(GoldenFixtures, RngLocality) { expect_golden("rng"); }
-TEST(GoldenFixtures, StepFunctionHotPath) { expect_golden("stepfunction"); }
 TEST(GoldenFixtures, FloatFormat) { expect_golden("float_format"); }
 TEST(GoldenFixtures, UnitSafety) { expect_golden("unit_safety"); }
 TEST(GoldenFixtures, HotPath) { expect_golden("hot_path"); }
@@ -461,20 +460,20 @@ TEST(Output, JsonIsEscapedAndDeterministic) {
   EXPECT_NE(json.find("a \\\"quoted\\\" message"), std::string::npos);
 }
 
-TEST(Catalogue, ListsAllSixteenChecks) {
+TEST(Catalogue, ListsAllFifteenChecks) {
   const std::vector<CheckInfo>& catalogue = check_catalogue();
-  ASSERT_EQ(catalogue.size(), 16u);
+  ASSERT_EQ(catalogue.size(), 15u);
   EXPECT_STREQ(catalogue.front().id, "layering");
   // The concurrency-discipline family, in order.
-  EXPECT_STREQ(catalogue[8].id, "lock-order");
-  EXPECT_STREQ(catalogue[9].id, "guarded-by");
-  EXPECT_STREQ(catalogue[10].id, "cv-wait-predicate");
-  EXPECT_STREQ(catalogue[11].id, "lock-scope-hygiene");
-  EXPECT_STREQ(catalogue[12].id, "atomic-discipline");
+  EXPECT_STREQ(catalogue[7].id, "lock-order");
+  EXPECT_STREQ(catalogue[8].id, "guarded-by");
+  EXPECT_STREQ(catalogue[9].id, "cv-wait-predicate");
+  EXPECT_STREQ(catalogue[10].id, "lock-scope-hygiene");
+  EXPECT_STREQ(catalogue[11].id, "atomic-discipline");
   // The interprocedural family closes the catalogue.
-  EXPECT_STREQ(catalogue[13].id, "hot-propagation");
-  EXPECT_STREQ(catalogue[14].id, "requires-context");
-  EXPECT_STREQ(catalogue[15].id, "hot-call-unresolved");
+  EXPECT_STREQ(catalogue[12].id, "hot-propagation");
+  EXPECT_STREQ(catalogue[13].id, "requires-context");
+  EXPECT_STREQ(catalogue[14].id, "hot-call-unresolved");
 }
 
 TEST(Output, TreeScanIsByteIdenticalAcrossThreadCounts) {

@@ -120,16 +120,11 @@ const std::vector<ScanRoot>& scan_roots() {
       // tools: host-side utilities — library layering and the unit-typed
       // header vocabulary do not apply outside the library tree.
       {"tools", {"layering", "unit-safety"}},
-      // bench: measures the machine and prints human-facing tables, and the
-      // reference StepFunction is fair game in differential harnesses.
-      {"bench",
-       {"layering", "wall-clock", "float-format", "stepfunction-hot-path",
-        "unit-safety"}},
-      // tests: exercise forbidden constructs on purpose (reference
-      // StepFunction differentials, raw atomics in TSan stress tests).
-      {"tests",
-       {"layering", "float-format", "stepfunction-hot-path", "unit-safety",
-        "atomic-discipline"}},
+      // bench: measures the machine and prints human-facing tables.
+      {"bench", {"layering", "wall-clock", "float-format", "unit-safety"}},
+      // tests: exercise forbidden constructs on purpose (raw atomics in TSan
+      // stress tests).
+      {"tests", {"layering", "float-format", "unit-safety", "atomic-discipline"}},
   };
   return kRoots;
 }

@@ -334,28 +334,6 @@ void check_rng_locality(const Scan& scan) {
 }
 
 // ---------------------------------------------------------------------------
-// stepfunction-hot-path
-// ---------------------------------------------------------------------------
-
-void check_stepfunction(const Scan& scan) {
-  // The std::map-backed StepFunction is the reference implementation kept
-  // for differential testing; hot paths use the flat TimelineProfile.
-  if (scan.src_rel == "core/step_function.hpp" ||
-      scan.src_rel == "core/step_function.cpp") {
-    return;
-  }
-  std::size_t pos = 0;
-  while ((pos = scan.code.find("StepFunction", pos)) != std::string::npos) {
-    if (word_at(scan.code, pos, "StepFunction")) {
-      scan.report(pos, "stepfunction-hot-path",
-                  "std::map-backed StepFunction outside the reference "
-                  "implementation — hot paths use core/timeline_profile.hpp");
-    }
-    pos += 12;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // float-format
 // ---------------------------------------------------------------------------
 
@@ -601,8 +579,6 @@ const std::vector<CheckInfo>& check_catalogue() {
        "no real-time reads outside metrics/experiment.cpp and src/obs/"},
       {"rng-locality",
        "random engines constructed only inside util/random"},
-      {"stepfunction-hot-path",
-       "reference StepFunction stays out of hot paths (use TimelineProfile)"},
       {"float-format",
        "float formatting goes through the shortest-round-trip helpers"},
       {"unit-safety",
@@ -646,7 +622,6 @@ std::vector<Finding> analyze_prepared(const SourceFile& file,
   if (enabled("unordered-iter")) check_unordered_iter(scan);
   if (enabled("wall-clock")) check_wall_clock(scan);
   if (enabled("rng-locality")) check_rng_locality(scan);
-  if (enabled("stepfunction-hot-path")) check_stepfunction(scan);
   if (enabled("float-format")) check_float_format(scan);
   if (enabled("unit-safety")) check_unit_safety(scan);
   if (enabled("hot-path")) check_hot_path(scan);
