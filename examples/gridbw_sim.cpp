@@ -12,8 +12,10 @@
 //                [--compact]
 //
 // With --trace-in, the workload is replayed from disk instead of generated,
-// so different schedulers can be compared on the byte-identical trace; a
-// malformed trace or a request outside the platform exits 2.
+// so different schedulers can be compared on the byte-identical trace.
+// Every settings or workload error — a malformed flag or INI value, a port
+// count below 1, a non-finite horizon, a malformed trace or a request
+// outside the platform — is a named usage error: a message and exit 2.
 // With --config, defaults are read from an INI file ([workload] ports,
 // capacity-gbps, interarrival, horizon, slack, seed; [scheduler] spec,
 // retries, retry-backoff); command-line flags override the file.
@@ -26,9 +28,10 @@
 
 #include "gridbw.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const gridbw::Flags& flags) {
   using namespace gridbw;
-  const Flags flags{argc, argv};
 
   if (flags.get_bool("help", false)) {
     std::cout << "gridbw_sim — schedule a bulk-transfer workload\n\n"
@@ -52,8 +55,11 @@ int main(int argc, char** argv) {
                            : config.get_int(dotted, fallback);
   };
 
-  const auto ports =
-      static_cast<std::size_t>(setting_int("ports", "workload.ports", 10));
+  const std::int64_t port_count = setting_int("ports", "workload.ports", 10);
+  if (port_count < 1) {
+    throw ValueError{"--ports", std::to_string(port_count), "a port count >= 1"};
+  }
+  const auto ports = static_cast<std::size_t>(port_count);
   const Network network = Network::uniform(
       ports, ports,
       Bandwidth::gigabytes_per_second(
@@ -62,15 +68,10 @@ int main(int argc, char** argv) {
   // Workload: from trace or generated.
   std::vector<Request> requests;
   if (flags.has("trace-in")) {
-    // A bad trace is a usage error (exit 2), never an abort: malformed rows
-    // and ports outside the --ports platform are both named and rejected.
+    // Malformed rows throw from the reader; ports outside the --ports
+    // platform are named here.
     const std::string path = flags.get_string("trace-in", "");
-    try {
-      requests = workload::read_trace_file(path);
-    } catch (const std::runtime_error& e) {
-      std::cerr << "gridbw_sim: " << e.what() << "\n";
-      return 2;
-    }
+    requests = workload::read_trace_file(path);
     for (const Request& r : requests) {
       if (r.ingress.value >= network.ingress_count() ||
           r.egress.value >= network.egress_count()) {
@@ -196,4 +197,15 @@ int main(int argc, char** argv) {
                                       last + Duration::seconds(1), 72);
   }
   return report.ok() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(gridbw::Flags{argc, argv});
+  } catch (const std::exception& e) {
+    std::cerr << "gridbw_sim: " << e.what() << "\n";
+    return 2;
+  }
 }

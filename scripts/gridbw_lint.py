@@ -5,8 +5,9 @@ The C++ domain rules that used to live here (quantity-api, rng-locality,
 wall-clock) are owned by the in-tree static analyzer
 now — `tools/gridbw_analyze` (ctest `gridbw_analyze`), which also enforces
 layering, unordered-iteration determinism, float formatting, and hot-path
-hygiene with proper lexing and a committed baseline. This script keeps the
-checks that are not about C++ sources at all.
+hygiene with proper lexing; its only exception mechanism is a per-line
+GRIDBW-ALLOW comment. This script keeps the checks that are not about C++
+sources at all.
 
 Run as a ctest (`ctest -R gridbw_lint`) or directly:
 

@@ -24,6 +24,7 @@
 #include "util/config.hpp"
 #include "util/flags.hpp"
 #include "util/histogram.hpp"
+#include "util/parse.hpp"
 #include "util/quantity.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"

@@ -1,10 +1,10 @@
 #include "util/config.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/parse.hpp"
 
 namespace gridbw {
 namespace {
@@ -86,44 +86,18 @@ std::string Config::get_string(const std::string& dotted_key,
 
 double Config::get_double(const std::string& dotted_key, double fallback) const {
   const auto value = get(dotted_key);
-  if (!value.has_value()) return fallback;
-  try {
-    std::size_t used = 0;
-    const double out = std::stod(*value, &used);
-    if (used != value->size()) throw std::invalid_argument{"trailing junk"};
-    return out;
-  } catch (const std::exception&) {
-    throw std::runtime_error{"Config: '" + dotted_key + "' is not a number: " + *value};
-  }
+  return value.has_value() ? parse_double(dotted_key, *value) : fallback;
 }
 
 std::int64_t Config::get_int(const std::string& dotted_key,
                              std::int64_t fallback) const {
   const auto value = get(dotted_key);
-  if (!value.has_value()) return fallback;
-  try {
-    std::size_t used = 0;
-    const std::int64_t out = std::stoll(*value, &used);
-    if (used != value->size()) throw std::invalid_argument{"trailing junk"};
-    return out;
-  } catch (const std::exception&) {
-    throw std::runtime_error{"Config: '" + dotted_key + "' is not an integer: " + *value};
-  }
+  return value.has_value() ? parse_int(dotted_key, *value) : fallback;
 }
 
 bool Config::get_bool(const std::string& dotted_key, bool fallback) const {
   const auto value = get(dotted_key);
-  if (!value.has_value()) return fallback;
-  std::string lowered = *value;
-  std::transform(lowered.begin(), lowered.end(), lowered.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  if (lowered == "true" || lowered == "1" || lowered == "yes" || lowered == "on") {
-    return true;
-  }
-  if (lowered == "false" || lowered == "0" || lowered == "no" || lowered == "off") {
-    return false;
-  }
-  throw std::runtime_error{"Config: '" + dotted_key + "' is not a boolean: " + *value};
+  return value.has_value() ? parse_bool(dotted_key, *value) : fallback;
 }
 
 std::vector<std::string> Config::keys() const { return order_; }

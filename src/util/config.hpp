@@ -12,7 +12,8 @@
 //   spec = window:step=400,f=0.8
 //
 // Keys are looked up as "section.key". Parsing is strict: malformed lines,
-// duplicate keys, and values requested with the wrong type all throw.
+// duplicate keys, and values requested with the wrong type all throw (typed
+// values go through util/parse.hpp, whose ValueError names the key).
 
 #pragma once
 
@@ -39,7 +40,8 @@ class Config {
 
   [[nodiscard]] std::string get_string(const std::string& dotted_key,
                                        const std::string& fallback) const;
-  /// Throws std::runtime_error if present but not numeric.
+  /// The typed getters throw ValueError (a std::runtime_error) when the key
+  /// is present but its value is not of the type.
   [[nodiscard]] double get_double(const std::string& dotted_key, double fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& dotted_key,
                                      std::int64_t fallback) const;

@@ -1,7 +1,8 @@
 #include "util/flags.hpp"
 
 #include <sstream>
-#include <stdexcept>
+
+#include "util/parse.hpp"
 
 namespace gridbw {
 
@@ -30,20 +31,17 @@ std::string Flags::get_string(const std::string& key, const std::string& fallbac
 
 std::int64_t Flags::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::stoll(it->second);
+  return it == values_.end() ? fallback : parse_int("--" + key, it->second);
 }
 
 double Flags::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::stod(it->second);
+  return it == values_.end() ? fallback : parse_double("--" + key, it->second);
 }
 
 bool Flags::get_bool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  return it == values_.end() ? fallback : parse_bool("--" + key, it->second);
 }
 
 std::vector<double> Flags::get_double_list(const std::string& key,
@@ -54,9 +52,9 @@ std::vector<double> Flags::get_double_list(const std::string& key,
   std::stringstream ss{it->second};
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::stod(item));
+    if (!item.empty()) out.push_back(parse_double("--" + key, item));
   }
-  if (out.empty()) throw std::invalid_argument{"Flags: empty list for --" + key};
+  if (out.empty()) throw ValueError{"--" + key, it->second, "a list of numbers"};
   return out;
 }
 

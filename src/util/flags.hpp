@@ -15,7 +15,9 @@
 namespace gridbw {
 
 /// Parses `--key=value` and bare `--key` (value "true") arguments. Unknown
-/// positional arguments are collected separately.
+/// positional arguments are collected separately. Typed getters parse the
+/// whole value strictly (util/parse.hpp) and throw ValueError naming the
+/// flag on anything else.
 class Flags {
  public:
   Flags(int argc, const char* const* argv);

@@ -39,8 +39,14 @@ std::vector<Request> generate(const WorkloadSpec& spec, Rng& rng) {
   if (spec.ingress_count == 0 || spec.egress_count == 0) {
     throw std::invalid_argument{"generate: empty endpoint universe"};
   }
-  if (!spec.mean_interarrival.is_positive()) {
-    throw std::invalid_argument{"generate: mean inter-arrival must be positive"};
+  if (!spec.mean_interarrival.is_positive() || !spec.mean_interarrival.is_finite()) {
+    throw std::invalid_argument{
+        "generate: mean inter-arrival must be positive and finite"};
+  }
+  // Checked before the expected count sizes the reservation: casting an
+  // infinite, NaN or negative count to std::size_t is undefined behaviour.
+  if (!(spec.horizon.to_seconds() >= 0.0) || !spec.horizon.is_finite()) {
+    throw std::invalid_argument{"generate: horizon must be finite and >= 0"};
   }
   std::vector<Request> requests;
   requests.reserve(static_cast<std::size_t>(spec.expected_count() * 1.2) + 8);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/config.hpp"
+#include "util/parse.hpp"
 
 namespace gridbw {
 namespace {
@@ -55,10 +56,20 @@ TEST(Config, BooleanSpellings) {
 }
 
 TEST(Config, TypeErrorsThrow) {
-  const auto cfg = Config::parse_string("x = abc\ny = 1.5z\nz = maybe\n");
+  const auto cfg = Config::parse_string(
+      "x = abc\ny = 1.5z\nz = maybe\n[w]\nh = inf\ni = nan\nk = 1e999\n");
   EXPECT_THROW((void)cfg.get_double("x", 0.0), std::runtime_error);
   EXPECT_THROW((void)cfg.get_int("y", 0), std::runtime_error);
   EXPECT_THROW((void)cfg.get_bool("z", false), std::runtime_error);
+  // Non-finite numbers are rejected too, and the error names the key.
+  for (const char* key : {"w.h", "w.i", "w.k"}) {
+    try {
+      (void)cfg.get_double(key, 0.0);
+      ADD_FAILURE() << key << " parsed";
+    } catch (const ValueError& e) {
+      EXPECT_EQ(e.key(), key);
+    }
+  }
 }
 
 TEST(Config, MalformedLinesThrowWithLineNumber) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/parse.hpp"
+
 namespace gridbw {
 namespace {
 
@@ -14,10 +16,16 @@ Flags parse(std::initializer_list<const char*> args) {
 }
 
 TEST(Flags, ParsesKeyValue) {
-  const Flags f = parse({"--load=2.5", "--name=fig4"});
+  // Python float reprs, as bench/suite/run.py writes --seconds and --scale.
+  const Flags f = parse({"--load=2.5", "--name=fig4", "--seconds=2.6666666666666665",
+                         "--scale=0.05", "--tiny=1e-05", "--whole=1"});
   EXPECT_TRUE(f.has("load"));
   EXPECT_DOUBLE_EQ(f.get_double("load", 0.0), 2.5);
   EXPECT_EQ(f.get_string("name", ""), "fig4");
+  EXPECT_DOUBLE_EQ(f.get_double("seconds", 0.0), 2.6666666666666665);
+  EXPECT_DOUBLE_EQ(f.get_double("scale", 0.0), 0.05);
+  EXPECT_DOUBLE_EQ(f.get_double("tiny", 0.0), 1e-05);
+  EXPECT_DOUBLE_EQ(f.get_double("whole", 0.0), 1.0);
 }
 
 TEST(Flags, BareFlagIsTrue) {
@@ -62,6 +70,33 @@ TEST(Flags, DoubleListFallback) {
 TEST(Flags, PositionalArgumentsCollected) {
   const Flags f = parse({"pos1", "--k=v", "pos2"});
   EXPECT_EQ(f.positional(), (std::vector<std::string>{"pos1", "pos2"}));
+}
+
+TEST(Flags, RejectsTrailingJunkAndNonFiniteValues) {
+  // A value parses only as a whole: no numeric prefix ("4x"), no
+  // non-finite number, no out-of-range integer, no leading space or hex.
+  const Flags f = parse({"--ports=4x", "--name=abc", "--empty=", "--huge=99999999999999999999",
+                         "--rate=1.5e", "--inf=inf", "--nan=nan", "--big=1e999",
+                         "--space= 3", "--hex=0x10", "--flag=maybe", "--list=0.2,x"});
+  EXPECT_THROW((void)f.get_int("ports", 0), ValueError);
+  EXPECT_THROW((void)f.get_int("name", 0), ValueError);
+  EXPECT_THROW((void)f.get_int("empty", 0), ValueError);
+  EXPECT_THROW((void)f.get_int("huge", 0), ValueError);
+  EXPECT_THROW((void)f.get_int("space", 0), ValueError);
+  EXPECT_THROW((void)f.get_int("hex", 0), ValueError);
+  EXPECT_THROW((void)f.get_double("rate", 0.0), ValueError);
+  EXPECT_THROW((void)f.get_double("inf", 0.0), ValueError);
+  EXPECT_THROW((void)f.get_double("nan", 0.0), ValueError);
+  EXPECT_THROW((void)f.get_double("big", 0.0), ValueError);
+  EXPECT_THROW((void)f.get_double("ports", 0.0), ValueError);
+  EXPECT_THROW((void)f.get_bool("flag", false), ValueError);
+  EXPECT_THROW((void)f.get_double_list("list", {}), ValueError);
+  try {
+    (void)f.get_int("ports", 0);
+  } catch (const ValueError& e) {
+    EXPECT_EQ(e.key(), "--ports");
+    EXPECT_NE(std::string{e.what()}.find("'4x'"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Flags, LastValueWins) {

@@ -1,11 +1,12 @@
 // Robustness fuzzing for every text-input surface: the message parser, the
-// trace reader, the schedule reader, the config parser, and the scheduler
-// spec parser. Property: arbitrary garbage never crashes, never corrupts —
+// trace reader, the schedule reader, the config parser, command-line flags,
+// and the scheduler spec parser. Property: arbitrary garbage never crashes, never corrupts —
 // it either parses cleanly or reports failure through the documented
 // channel (nullopt / exception).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -14,6 +15,8 @@
 #include "core/schedule_io.hpp"
 #include "heuristics/parse.hpp"
 #include "util/config.hpp"
+#include "util/flags.hpp"
+#include "util/parse.hpp"
 #include "util/random.hpp"
 #include "workload/trace.hpp"
 
@@ -93,6 +96,35 @@ TEST_P(ParserFuzz, ConfigParserThrowsCleanly) {
       const auto cfg = Config::parse_string(text);
       for (const auto& key : cfg.keys()) EXPECT_TRUE(cfg.has(key));
     } catch (const std::runtime_error&) {
+    }
+  }
+}
+
+TEST_P(ParserFuzz, FlagsThrowCleanly) {
+  Rng rng{GetParam() + 5};
+  for (int i = 0; i < 1000; ++i) {
+    const std::string arg = "--k=" + random_line(rng);
+    const char* argv[] = {"prog", arg.c_str()};
+    const Flags flags{2, argv};
+    // Every typed read either yields a value (finite, for numbers) or
+    // throws the one documented ValueError.
+    try {
+      (void)flags.get_int("k", 0);
+    } catch (const ValueError&) {
+    }
+    try {
+      EXPECT_TRUE(std::isfinite(flags.get_double("k", 0.0))) << arg;
+    } catch (const ValueError&) {
+    }
+    try {
+      (void)flags.get_bool("k", false);
+    } catch (const ValueError&) {
+    }
+    try {
+      for (const double v : flags.get_double_list("k", {})) {
+        EXPECT_TRUE(std::isfinite(v)) << arg;
+      }
+    } catch (const ValueError&) {
     }
   }
 }

@@ -1,15 +1,35 @@
-# Runs gridbw_sim --trace-in on each bad trace and requires exit code 2
-# (a named usage error, not an abort).
+# Runs gridbw_sim on bad traces and bad settings and requires exit code 2 for
+# each (a named usage error, not an abort and not a silent run).
 #
 #   cmake -DSIM=<gridbw_sim> -DDATA=<dir> -P sim_rejects_bad_trace.cmake
-foreach(trace trace_malformed_row.csv trace_port_out_of_range.csv)
+function(expect_usage_error name)
   execute_process(
-    COMMAND "${SIM}" --trace-in=${DATA}/${trace} --ports=4 --scheduler=fcfs
+    COMMAND "${SIM}" ${ARGN} --scheduler=fcfs
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   if(NOT rc STREQUAL "2")
-    message(FATAL_ERROR "${trace}: expected exit 2, got '${rc}'\n${out}${err}")
+    message(FATAL_ERROR "${name}: expected exit 2, got '${rc}'\n${out}${err}")
   endif()
-  message(STATUS "${trace}: exit 2: ${err}")
+  message(STATUS "${name}: exit 2: ${err}")
+endfunction()
+
+foreach(trace trace_malformed_row.csv trace_port_out_of_range.csv)
+  expect_usage_error(${trace} --trace-in=${DATA}/${trace} --ports=4)
 endforeach()
+
+# Flag values: not a number, trailing junk after a number, port counts
+# below 1, and non-finite durations.
+expect_usage_error(ports-abc --ports=abc)
+expect_usage_error(ports-trailing-junk --ports=4x)
+expect_usage_error(ports-negative --ports=-1)
+expect_usage_error(ports-zero --ports=0)
+expect_usage_error(horizon-inf --horizon=inf --interarrival=1)
+expect_usage_error(horizon-nan --horizon=nan)
+expect_usage_error(interarrival-inf --interarrival=inf)
+
+# The same strict parser reads INI settings.
+set(ini "${CMAKE_CURRENT_BINARY_DIR}/sim_rejects_bad_settings.ini")
+file(WRITE "${ini}" "[workload]\nhorizon = inf\n")
+expect_usage_error(config-horizon-inf --config=${ini})
+file(REMOVE "${ini}")

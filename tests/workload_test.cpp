@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -154,6 +155,23 @@ TEST(Generator, RejectsBadSpecs) {
   WorkloadSpec spec2 = small_spec();
   spec2.mean_interarrival = Duration::zero();
   EXPECT_THROW((void)generate(spec2, rng), std::invalid_argument);
+  // Each of these would size the up-front reservation from an infinite, NaN
+  // or negative expected count; the spec is rejected before that cast.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double horizon : {inf, -inf, nan, -1.0}) {
+    WorkloadSpec spec3 = small_spec();
+    spec3.horizon = Duration::seconds(horizon);
+    EXPECT_THROW((void)generate(spec3, rng), std::invalid_argument) << horizon;
+  }
+  for (const double interarrival : {inf, nan}) {
+    WorkloadSpec spec3 = small_spec();
+    spec3.mean_interarrival = Duration::seconds(interarrival);
+    EXPECT_THROW((void)generate(spec3, rng), std::invalid_argument) << interarrival;
+  }
+  WorkloadSpec empty = small_spec();
+  empty.horizon = Duration::zero();
+  EXPECT_TRUE(generate(empty, rng).empty());
 }
 
 TEST(Load, ExpectedOfferedLoadMatchesFormula) {

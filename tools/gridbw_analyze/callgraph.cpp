@@ -1,4 +1,27 @@
-#include "callgraph.hpp"
+// Deterministic project-wide call graph and the two checks on top of it.
+//
+// Resolution is best-effort and lexical, like the symbol index it consumes:
+// a call edge is drawn only when the callee name (suffix-aware on '::'
+// components) matches a symbol defined in the caller's include closure
+// (quoted #includes, transitively, plus the sibling header/source of every
+// file in the closure). `std::`-qualified calls are external by definition.
+// Everything else that cannot be matched is counted as an unresolved edge,
+// never fatal: a lexical scanner must under-approximate the graph, not
+// invent edges across unrelated modules. Files and symbols are visited in
+// scan order, so every chain and finding is deterministic.
+//
+//   hot-propagation      every `// gridbw:hot` body, and every function the
+//                        walk reaches from one over resolved edges, must be
+//                        hot-clean (no throw/alloc/dynamic_cast/lock
+//                        acquisition). A callee with its own gridbw:hot or a
+//                        GRIDBW-ALLOW(hot-propagation) stops the walk.
+//                        Findings print the call chain from the hot root.
+//   hot-call-unresolved  calls from hot-context bodies through sinks the
+//                        graph cannot resolve — std::function-typed
+//                        callables and virtual methods — must carry a
+//                        GRIDBW-ALLOW(hot-call-unresolved) justification.
+
+#include "scan.hpp"
 
 #include <algorithm>
 #include <cctype>
@@ -10,24 +33,6 @@
 namespace gridbw::analyze {
 
 namespace {
-
-constexpr std::size_t kNoBody = static_cast<std::size_t>(-1);
-
-bool is_ident(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-bool word_at(const std::string& text, std::size_t pos, const std::string& word) {
-  if (text.compare(pos, word.size(), word) != 0) return false;
-  if (pos > 0 && is_ident(text[pos - 1])) return false;
-  const std::size_t end = pos + word.size();
-  return end >= text.size() || !is_ident(text[end]);
-}
-
-int line_of(const std::vector<std::size_t>& starts, std::size_t pos) {
-  const auto it = std::upper_bound(starts.begin(), starts.end(), pos);
-  return static_cast<int>(it - starts.begin());
-}
 
 /// Names that look like calls lexically but never are (control keywords,
 /// cast-like operators) or that are functional casts on fundamental types.
@@ -107,29 +112,6 @@ bool components_compatible(const std::vector<std::string>& a,
     if (shorter[i] != longer[offset + i]) return false;
   }
   return true;
-}
-
-/// One mutex held over a byte interval of one file: RAII lock sites plus the
-/// gridbw:requires-derived holds (same model as concurrency.cpp).
-struct Hold {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  std::string mutex;
-};
-
-std::vector<Hold> holds_of(const ScopeInfo& info) {
-  std::vector<Hold> holds;
-  for (const LockSite& site : info.locks) {
-    for (const std::string& mutex : site.mutexes) {
-      holds.push_back({site.pos, site.release, mutex});
-    }
-  }
-  for (const RequiresSite& site : info.requires_held) {
-    for (const std::string& mutex : site.mutexes) {
-      holds.push_back({site.body_open, site.body_close, mutex});
-    }
-  }
-  return holds;
 }
 
 }  // namespace
@@ -225,7 +207,7 @@ struct SymbolRef {
   }
 };
 
-/// The merged project view phase 2 consumes.
+/// The merged project view the interprocedural checks consume.
 struct Project {
   const std::vector<FileEntry>* entries = nullptr;
   /// closure[f]: entry indices visible from f (reflexive, include-transitive,
@@ -260,16 +242,16 @@ std::vector<std::vector<std::size_t>> build_closures(
 
   // rel path -> entry index, and sibling pairs (extension swapped).
   std::map<std::string, std::size_t> by_rel;
-  for (std::size_t i = 0; i < n; ++i) by_rel.emplace(entries[i].rel, i);
+  for (std::size_t i = 0; i < n; ++i) by_rel.emplace(entries[i].file.rel_path, i);
   const auto sibling_of = [&](std::size_t i) -> std::size_t {
-    const std::string& rel = entries[i].rel;
+    const std::string& rel = entries[i].file.rel_path;
     const std::size_t dot = rel.rfind('.');
-    if (dot == std::string::npos) return kNoBody;
+    if (dot == std::string::npos) return std::string::npos;
     const std::string ext = rel.substr(dot);
     const std::string other =
         rel.substr(0, dot) + (ext == ".cpp" ? ".hpp" : ".cpp");
     const auto it = by_rel.find(other);
-    return it == by_rel.end() ? kNoBody : it->second;
+    return it == by_rel.end() ? std::string::npos : it->second;
   };
 
   // Direct include targets per entry, resolved by path suffix once.
@@ -280,7 +262,7 @@ std::vector<std::vector<std::size_t>> build_closures(
       auto [it, fresh] = include_targets.try_emplace(inc);
       if (fresh) {
         for (std::size_t j = 0; j < n; ++j) {
-          if (include_matches(entries[j].rel, inc)) it->second.push_back(j);
+          if (include_matches(entries[j].file.rel_path, inc)) it->second.push_back(j);
         }
       }
       for (const std::size_t j : it->second) direct[i].push_back(j);
@@ -295,7 +277,7 @@ std::vector<std::vector<std::size_t>> build_closures(
       const std::size_t f = queue.back();
       queue.pop_back();
       const std::size_t sib = sibling_of(f);
-      if (sib != kNoBody && seen.insert(sib).second) queue.push_back(sib);
+      if (sib != std::string::npos && seen.insert(sib).second) queue.push_back(sib);
       for (const std::size_t g : direct[f]) {
         if (seen.insert(g).second) queue.push_back(g);
       }
@@ -354,49 +336,25 @@ Project build_project(const std::vector<FileEntry>& entries) {
 }
 
 // ---------------------------------------------------------------------------
-// The three interprocedural checks
+// The two interprocedural checks
 // ---------------------------------------------------------------------------
 
-struct InterCtx {
-  const std::vector<FileEntry>& entries;
-  const Project& project;
-  const std::vector<const Options*>& per_entry_options;
-  InterprocReport* out;
-
-  [[nodiscard]] bool enabled(std::size_t file, const char* check) const {
-    const Options* options = per_entry_options[file];
-    return options != nullptr && options->checks.count(check) != 0;
-  }
-
-  void report(std::size_t file, std::size_t pos, const char* check,
-              std::string message) const {
-    if (!enabled(file, check)) return;
-    const FileEntry& entry = entries[file];
-    const int line = line_of(entry.starts, pos);
-    if (entry.file.suppressed(line, check)) return;
-    out->per_file[file].push_back(
-        Finding{entry.rel, line, check, std::move(message)});
-  }
-};
-
-/// The hot-path ban list (mirrors check_hot_path in checks.cpp), applied to
-/// transitively reached callee bodies.
+/// The hot-path ban list, applied to hot roots and every callee the walk
+/// reaches. Virtual sink calls are hot-call-unresolved's concern.
 struct BanToken {
   const char* token;
-  bool word;
   const char* what;
 };
 
 constexpr BanToken kBanTokens[] = {
-    {"throw", true, "throw"},
-    {"new", true, "allocation (new)"},
-    {"make_unique", true, "allocation (make_unique)"},
-    {"make_shared", true, "allocation (make_shared)"},
-    {"malloc", true, "allocation (malloc)"},
-    {"calloc", true, "allocation (calloc)"},
-    {"realloc", true, "allocation (realloc)"},
-    {"dynamic_cast", true, "dynamic_cast"},
-    {"->record(", false, "virtual sink call (TraceSink::record)"},
+    {"throw", "throw"},
+    {"new", "allocation (new)"},
+    {"make_unique", "allocation (make_unique)"},
+    {"make_shared", "allocation (make_shared)"},
+    {"malloc", "allocation (malloc)"},
+    {"calloc", "allocation (calloc)"},
+    {"realloc", "allocation (realloc)"},
+    {"dynamic_cast", "dynamic_cast"},
 };
 
 /// Shared walk state: which symbols the hot walk has entered, and through
@@ -405,28 +363,30 @@ constexpr BanToken kBanTokens[] = {
 struct HotWalk {
   std::set<SymbolRef> visited;
   /// Symbols whose bodies count as hot context for hot-call-unresolved:
-  /// the roots plus every clean interior callee the walk descended into.
+  /// the roots plus every callee the walk descended into.
   std::vector<std::pair<SymbolRef, std::string>> hot_context;  // ref, chain
 };
 
-void scan_callee_body(const InterCtx& ctx, const SymbolRef& ref,
-                      const std::string& chain) {
-  const FileEntry& entry = ctx.entries[ref.file];
-  const Symbol& symbol = ctx.project.symbol(ref);
-  const std::string body =
-      entry.code.substr(symbol.body_open, symbol.body_close - symbol.body_open);
+/// Reports every banned token and lock acquisition in one body: a hot root
+/// (`chain` empty) or a callee reached through `chain`.
+void scan_hot_body(std::vector<FileEntry>& entries, const Project& project,
+                   const SymbolRef& ref, const std::string& chain) {
+  FileEntry& entry = entries[ref.file];
+  const Symbol& symbol = project.symbol(ref);
+  const bool root = chain.empty();
+  const std::string where =
+      root ? "gridbw:hot body '" + symbol.qualified + "'"
+           : "'" + symbol.qualified + "', reached from a gridbw:hot body via " +
+                 chain;
   for (const BanToken& t : kBanTokens) {
-    const std::string token = t.token;
-    std::size_t pos = 0;
-    while ((pos = body.find(token, pos)) != std::string::npos) {
-      const std::size_t hit = pos;
-      pos += token.size();
-      if (t.word && !word_at(body, hit, token)) continue;
-      ctx.report(ref.file, symbol.body_open + hit, "hot-propagation",
-                 std::string{t.what} + " in '" + symbol.qualified +
-                     "', reached from a gridbw:hot body via " + chain +
-                     " — hoist it, mark the callee // gridbw:hot, or justify "
-                     "with GRIDBW-ALLOW(hot-propagation)");
+    for (const std::size_t hit : find_all(entry.file.code, t.token, true,
+                                          symbol.body_open, symbol.body_close)) {
+      report(entry, hit, "hot-propagation",
+             std::string{t.what} + " in " + where +
+                 (root ? " — hoist it out of the hot path or justify with "
+                         "GRIDBW-ALLOW(hot-propagation)"
+                       : " — hoist it, mark the callee // gridbw:hot, or "
+                         "justify with GRIDBW-ALLOW(hot-propagation)"));
     }
   }
   for (const LockSite& site : entry.scope.locks) {
@@ -436,117 +396,60 @@ void scan_callee_body(const InterCtx& ctx, const SymbolRef& ref,
       if (!mutexes.empty()) mutexes += ", ";
       mutexes += mutex;
     }
-    ctx.report(ref.file, site.pos, "hot-propagation",
-               "lock acquisition (" + mutexes + ") in '" + symbol.qualified +
-                   "', reached from a gridbw:hot body via " + chain +
-                   " — hot paths stay lock-free; restructure or justify with "
-                   "GRIDBW-ALLOW(hot-propagation)");
+    report(entry, site.pos, "hot-propagation",
+           "lock acquisition (" + mutexes + ") in " + where +
+               " — hot paths stay lock-free; restructure or justify with "
+               "GRIDBW-ALLOW(hot-propagation)");
   }
 }
 
-void walk_hot(const InterCtx& ctx, HotWalk& walk, const SymbolRef& ref,
-              const std::string& chain) {
-  const FileEntry& entry = ctx.entries[ref.file];
-  const Symbol& symbol = ctx.project.symbol(ref);
+void walk_hot(std::vector<FileEntry>& entries, const Project& project,
+              HotWalk& walk, const SymbolRef& ref, const std::string& chain) {
+  const FileEntry& entry = entries[ref.file];
+  const Symbol& symbol = project.symbol(ref);
   walk.hot_context.emplace_back(ref, chain);
   for (std::size_t c = 0; c < entry.calls.size(); ++c) {
     if (entry.calls[c].enclosing_body != symbol.body_open) continue;
-    for (const SymbolRef& target : ctx.project.resolved[ref.file][c]) {
+    for (const SymbolRef& target : project.resolved[ref.file][c]) {
       if (!walk.visited.insert(target).second) continue;
-      const Symbol& callee = ctx.project.symbol(target);
+      const Symbol& callee = project.symbol(target);
       if (callee.hot || callee.hot_allow) continue;  // its own wall applies
       const std::string next = chain + " -> " + callee.qualified;
-      scan_callee_body(ctx, target, next);
-      walk_hot(ctx, walk, target, next);
+      scan_hot_body(entries, project, target, next);
+      walk_hot(entries, project, walk, target, next);
     }
   }
 }
 
-void check_hot_propagation(const InterCtx& ctx, HotWalk& walk) {
-  for (std::size_t f = 0; f < ctx.entries.size(); ++f) {
-    const std::vector<Symbol>& symbols = ctx.entries[f].symbols.symbols;
-    for (std::size_t s = 0; s < symbols.size(); ++s) {
-      if (!symbols[s].hot) continue;
-      const SymbolRef root{f, s};
-      walk.visited.insert(root);
-      walk_hot(ctx, walk, root, symbols[s].qualified);
-    }
-  }
-}
-
-void check_requires_context(const InterCtx& ctx) {
-  // Lazily built per-file hold intervals (most files have none).
-  std::vector<std::vector<Hold>> holds(ctx.entries.size());
-  std::vector<bool> holds_built(ctx.entries.size(), false);
-
-  for (std::size_t f = 0; f < ctx.entries.size(); ++f) {
-    const FileEntry& entry = ctx.entries[f];
-    for (std::size_t c = 0; c < entry.calls.size(); ++c) {
-      const CallSite& call = entry.calls[c];
-      for (const SymbolRef& target : ctx.project.resolved[f][c]) {
-        const Symbol& callee = ctx.project.symbol(target);
-        if (callee.requires_mutexes.empty()) continue;
-        if (!holds_built[f]) {
-          holds[f] = holds_of(entry.scope);
-          holds_built[f] = true;
-        }
-        std::string missing;
-        for (const std::string& mutex : callee.requires_mutexes) {
-          bool held = false;
-          for (const Hold& hold : holds[f]) {
-            if (hold.begin < call.pos && call.pos < hold.end &&
-                mutex_matches(hold.mutex, mutex)) {
-              held = true;
-              break;
-            }
-          }
-          if (!held) {
-            if (!missing.empty()) missing += ", ";
-            missing += mutex;
-          }
-        }
-        if (!missing.empty()) {
-          ctx.report(f, call.pos, "requires-context",
-                     "call to '" + callee.qualified +
-                         "', which is gridbw:requires(" + missing +
-                         "), without '" + missing +
-                         "' held — acquire it (scoped_lock/lock_guard/"
-                         "unique_lock) or mark the caller gridbw:requires");
-        }
-      }
-    }
-  }
-}
-
-void check_hot_call_unresolved(const InterCtx& ctx, const HotWalk& walk) {
+void check_hot_call_unresolved(std::vector<FileEntry>& entries,
+                               const Project& project, const HotWalk& walk) {
   // Each hot-context symbol appears once and each call site belongs to one
   // enclosing body, so every (body, call) pair is examined exactly once.
   for (const auto& [ref, chain] : walk.hot_context) {
-    const FileEntry& entry = ctx.entries[ref.file];
-    const Symbol& symbol = ctx.project.symbol(ref);
-    for (std::size_t c = 0; c < entry.calls.size(); ++c) {
-      const CallSite& call = entry.calls[c];
+    FileEntry& entry = entries[ref.file];
+    const Symbol& symbol = project.symbol(ref);
+    for (const CallSite& call : entry.calls) {
       if (call.enclosing_body != symbol.body_open) continue;
       const std::vector<std::string> parts = split_components(call.name);
       if (parts.front() == "std") continue;
       const std::string& last = parts.back();
       if (std::binary_search(entry.symbols.callable_names.begin(),
                              entry.symbols.callable_names.end(), last)) {
-        ctx.report(ref.file, call.pos, "hot-call-unresolved",
-                   "call through std::function '" + last +
-                       "' in hot context (" + chain +
-                       ") — the graph cannot see the bound callable; verify "
-                       "it is hot-clean and justify with "
-                       "GRIDBW-ALLOW(hot-call-unresolved)");
+        report(entry, call.pos, "hot-call-unresolved",
+               "call through std::function '" + last + "' in hot context (" +
+                   chain +
+                   ") — the graph cannot see the bound callable; verify "
+                   "it is hot-clean and justify with "
+                   "GRIDBW-ALLOW(hot-call-unresolved)");
         continue;
       }
       if (call.member && !is_ambiguous_member_name(last) &&
-          ctx.project.virtual_methods.count(last) != 0) {
-        ctx.report(ref.file, call.pos, "hot-call-unresolved",
-                   "virtual call '" + last + "' in hot context (" + chain +
-                       ") — dispatch target is unresolvable; devirtualize, "
-                       "hoist it out, or justify with "
-                       "GRIDBW-ALLOW(hot-call-unresolved)");
+          project.virtual_methods.count(last) != 0) {
+        report(entry, call.pos, "hot-call-unresolved",
+               "virtual call '" + last + "' in hot context (" + chain +
+                   ") — dispatch target is unresolvable; devirtualize, "
+                   "hoist it out, or justify with "
+                   "GRIDBW-ALLOW(hot-call-unresolved)");
       }
     }
   }
@@ -554,21 +457,25 @@ void check_hot_call_unresolved(const InterCtx& ctx, const HotWalk& walk) {
 
 }  // namespace
 
-InterprocReport run_interprocedural_checks(
-    const std::vector<FileEntry>& entries,
-    const std::vector<const Options*>& per_entry_options) {
-  InterprocReport report;
-  report.per_file.resize(entries.size());
+void run_interprocedural_checks(std::vector<FileEntry>& entries,
+                                TreeReport& report) {
   const Project project = build_project(entries);
-  report.edges_resolved = project.edges_resolved;
-  report.edges_unresolved = project.edges_unresolved;
+  report.call_edges_resolved = project.edges_resolved;
+  report.call_edges_unresolved = project.edges_unresolved;
 
-  const InterCtx ctx{entries, project, per_entry_options, &report};
   HotWalk walk;
-  check_hot_propagation(ctx, walk);
-  check_requires_context(ctx);
-  check_hot_call_unresolved(ctx, walk);
-  return report;
+  for (std::size_t f = 0; f < entries.size(); ++f) {
+    const std::vector<Symbol>& symbols = entries[f].symbols.symbols;
+    for (std::size_t s = 0; s < symbols.size(); ++s) {
+      if (!symbols[s].hot) continue;
+      const SymbolRef root{f, s};
+      ++report.hot_roots;
+      walk.visited.insert(root);
+      scan_hot_body(entries, project, root, "");
+      walk_hot(entries, project, walk, root, symbols[s].qualified);
+    }
+  }
+  check_hot_call_unresolved(entries, project, walk);
 }
 
 }  // namespace gridbw::analyze

@@ -1,11 +1,9 @@
 // The concurrency-discipline check family, built on the scope model
-// (scope.cpp): lock-order, guarded-by, cv-wait-predicate,
-// lock-scope-hygiene, atomic-discipline.
+// (scope.cpp): guarded-by, cv-wait-predicate, lock-scope-hygiene,
+// atomic-discipline.
 
-#include "analyze.hpp"
+#include "scan.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <cstddef>
 #include <set>
 #include <string>
@@ -15,149 +13,26 @@ namespace gridbw::analyze {
 
 namespace {
 
-bool is_ident(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-bool word_at(const std::string& text, std::size_t pos, const std::string& word) {
-  if (text.compare(pos, word.size(), word) != 0) return false;
-  if (pos > 0 && is_ident(text[pos - 1])) return false;
-  const std::size_t end = pos + word.size();
-  return end >= text.size() || !is_ident(text[end]);
-}
-
-std::size_t skip_ws(const std::string& text, std::size_t pos) {
-  while (pos < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-    ++pos;
-  }
-  return pos;
-}
-
-int line_of(const std::vector<std::size_t>& starts, std::size_t pos) {
-  const auto it = std::upper_bound(starts.begin(), starts.end(), pos);
-  return static_cast<int>(it - starts.begin());
-}
-
-/// One mutex held over a byte interval — from a RAII lock site or from a
-/// gridbw:requires(body runs with the mutex held by the caller) annotation.
-struct Hold {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  std::string mutex;
-  const LockSite* site = nullptr;  // null for requires-derived holds
-};
-
-std::vector<Hold> hold_intervals(const ScopeInfo& info) {
-  std::vector<Hold> holds;
-  for (const LockSite& site : info.locks) {
-    for (const std::string& mutex : site.mutexes) {
-      holds.push_back({site.pos, site.release, mutex, &site});
-    }
-  }
-  for (const RequiresSite& site : info.requires_held) {
-    for (const std::string& mutex : site.mutexes) {
-      holds.push_back({site.body_open, site.body_close, mutex, nullptr});
-    }
-  }
-  return holds;
-}
-
-struct Ctx {
-  const SourceFile& file;
-  const std::string& code;
-  const std::vector<std::size_t>& starts;
-  std::vector<Finding>* out;
-
-  void report(std::size_t pos, const char* check, std::string message) const {
-    const int line = line_of(starts, pos);
-    if (file.suppressed(line, check)) return;
-    out->push_back(Finding{file.rel_path, line, check, std::move(message)});
-  }
-};
-
-// ---------------------------------------------------------------------------
-// lock-order
-// ---------------------------------------------------------------------------
-
-void check_lock_order(const Ctx& ctx, const ScopeInfo& info,
-                      const std::vector<Hold>& holds) {
-  std::set<std::string> seen;  // pos|acquired|held — nested holds dedup
-  for (const FunctionScope& fn : info.functions) {
-    for (const LockSite& site : info.locks) {
-      if (site.pos <= fn.open || site.pos >= fn.close) continue;
-      for (const Hold& held : holds) {
-        if (held.site == &site) continue;  // scoped_lock{a, b} is deadlock-free
-        if (!(held.begin < site.pos && site.pos < held.end)) continue;
-        for (const std::string& acquired : site.mutexes) {
-          if (acquired == held.mutex) continue;
-          const std::string key = std::to_string(site.pos) + "|" + acquired +
-                                  "|" + held.mutex;
-          if (!seen.insert(key).second) continue;
-
-          bool sanctioned = false;
-          const LockOrderContract* violated = nullptr;
-          for (const LockOrderContract& c : info.contracts) {
-            if (mutex_matches(acquired, c.second) &&
-                mutex_matches(held.mutex, c.first)) {
-              sanctioned = true;
-              break;
-            }
-            if (mutex_matches(acquired, c.first) &&
-                mutex_matches(held.mutex, c.second)) {
-              violated = &c;
-            }
-          }
-          if (sanctioned) continue;
-          if (violated != nullptr) {
-            ctx.report(site.pos, "lock-order",
-                       "mutex '" + acquired + "' acquired while '" +
-                           held.mutex +
-                           "' is held — violates the declared contract "
-                           "gridbw:lock-order(" +
-                           violated->first + " < " + violated->second + ")");
-          } else {
-            ctx.report(site.pos, "lock-order",
-                       "mutex '" + acquired + "' acquired while '" +
-                           held.mutex +
-                           "' is held with no gridbw:lock-order contract "
-                           "covering the pair — declare the intended order");
-          }
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // guarded-by
 // ---------------------------------------------------------------------------
 
-void check_guarded_by(const Ctx& ctx, const ScopeInfo& info,
-                      const std::vector<Hold>& holds) {
-  for (const GuardedField& field : info.guarded) {
-    std::size_t pos = 0;
-    while ((pos = ctx.code.find(field.name, pos)) != std::string::npos) {
-      const std::size_t hit = pos;
-      pos += field.name.size();
-      if (!word_at(ctx.code, hit, field.name)) continue;
-      const int line = line_of(ctx.starts, hit);
-      if (line == field.decl_line) continue;  // the declaration itself
+void check_guarded_by(FileEntry& entry) {
+  for (const GuardedField& field : entry.scope.guarded) {
+    for (const std::size_t hit : find_all(entry.file.code, field.name, true)) {
+      if (line_of(entry.file.starts, hit) == field.decl_line) continue;
       bool held = false;
-      for (const Hold& hold : holds) {
-        if (hold.begin < hit && hit < hold.end &&
-            mutex_matches(hold.mutex, field.mutex)) {
-          held = true;
-          break;
+      for (const LockSite& site : entry.scope.locks) {
+        for (const std::string& mutex : site.mutexes) {
+          held = held || (site.pos < hit && hit < site.release &&
+                          mutex_matches(mutex, field.mutex));
         }
       }
       if (!held) {
-        ctx.report(hit, "guarded-by",
-                   "field '" + field.name + "' is gridbw:guarded_by(" +
-                       field.mutex + ") but is accessed without '" +
-                       field.mutex +
-                       "' held (scoped_lock/lock_guard/unique_lock, or a "
-                       "gridbw:requires function)");
+        report(entry, hit, "guarded-by",
+               "field '" + field.name + "' is gridbw:guarded_by(" +
+                   field.mutex + ") but is accessed without '" + field.mutex +
+                   "' held (scoped_lock/lock_guard/unique_lock)");
       }
     }
   }
@@ -167,24 +42,21 @@ void check_guarded_by(const Ctx& ctx, const ScopeInfo& info,
 // cv-wait-predicate
 // ---------------------------------------------------------------------------
 
-void check_cv_wait(const Ctx& ctx, const ScopeInfo& info) {
-  for (const std::string& cv : info.cv_names) {
-    std::size_t pos = 0;
-    while ((pos = ctx.code.find(cv, pos)) != std::string::npos) {
-      const std::size_t hit = pos;
-      pos += cv.size();
-      if (!word_at(ctx.code, hit, cv)) continue;
+void check_cv_wait(FileEntry& entry) {
+  const std::string& code = entry.file.code;
+  for (const std::string& cv : entry.scope.cv_names) {
+    for (const std::size_t hit : find_all(code, cv, true)) {
       std::size_t i = hit + cv.size();
-      if (ctx.code.compare(i, 2, "->") == 0) {
+      if (code.compare(i, 2, "->") == 0) {
         i += 2;
-      } else if (i < ctx.code.size() && ctx.code[i] == '.') {
+      } else if (i < code.size() && code[i] == '.') {
         i += 1;
       } else {
         continue;
       }
       std::size_t end = i;
-      while (end < ctx.code.size() && is_ident(ctx.code[end])) ++end;
-      const std::string member = ctx.code.substr(i, end - i);
+      while (end < code.size() && is_ident(code[end])) ++end;
+      const std::string member = code.substr(i, end - i);
       std::size_t need = 0;  // top-level commas the predicate overload needs
       if (member == "wait") {
         need = 1;
@@ -193,12 +65,12 @@ void check_cv_wait(const Ctx& ctx, const ScopeInfo& info) {
       } else {
         continue;
       }
-      const std::size_t open = skip_ws(ctx.code, end);
-      if (open >= ctx.code.size() || ctx.code[open] != '(') continue;
+      const std::size_t open = skip_ws(code, end);
+      if (open >= code.size() || code[open] != '(') continue;
       int depth = 0;
       std::size_t commas = 0;
-      for (std::size_t j = open; j < ctx.code.size(); ++j) {
-        const char c = ctx.code[j];
+      for (std::size_t j = open; j < code.size(); ++j) {
+        const char c = code[j];
         if (c == '(' || c == '{' || c == '[') ++depth;
         if (c == ')' || c == '}' || c == ']') {
           --depth;
@@ -207,10 +79,10 @@ void check_cv_wait(const Ctx& ctx, const ScopeInfo& info) {
         if (c == ',' && depth == 1) ++commas;
       }
       if (commas < need) {
-        ctx.report(hit, "cv-wait-predicate",
-                   "condition_variable " + member +
-                       " without a predicate — spurious wakeups desynchronize "
-                       "the protocol; use the predicate overload");
+        report(entry, hit, "cv-wait-predicate",
+               "condition_variable " + member +
+                   " without a predicate — spurious wakeups desynchronize "
+                   "the protocol; use the predicate overload");
       }
     }
   }
@@ -220,7 +92,7 @@ void check_cv_wait(const Ctx& ctx, const ScopeInfo& info) {
 // lock-scope-hygiene
 // ---------------------------------------------------------------------------
 
-void check_lock_hygiene(const Ctx& ctx, const std::vector<Hold>& holds) {
+void check_lock_hygiene(FileEntry& entry) {
   struct Token {
     const char* token;
     bool word;
@@ -247,20 +119,17 @@ void check_lock_hygiene(const Ctx& ctx, const std::vector<Hold>& holds) {
       {"->wait()", false, "blocking wait"},
   };
   std::set<std::size_t> reported;
-  for (const Hold& hold : holds) {
-    for (const Token& t : kTokens) {
-      const std::string token = t.token;
-      std::size_t pos = hold.begin;
-      while ((pos = ctx.code.find(token, pos)) != std::string::npos &&
-             pos < hold.end) {
-        const std::size_t hit = pos;
-        pos += token.size();
-        if (t.word && !word_at(ctx.code, hit, token)) continue;
-        if (!reported.insert(hit).second) continue;
-        ctx.report(hit, "lock-scope-hygiene",
-                   std::string{t.what} + " while '" + hold.mutex +
-                       "' is held — critical sections stay compute-only; "
-                       "move it outside the lock scope");
+  for (const LockSite& site : entry.scope.locks) {
+    for (const std::string& mutex : site.mutexes) {
+      for (const Token& t : kTokens) {
+        for (const std::size_t hit :
+             find_all(entry.file.code, t.token, t.word, site.pos, site.release)) {
+          if (!reported.insert(hit).second) continue;
+          report(entry, hit, "lock-scope-hygiene",
+                 std::string{t.what} + " while '" + mutex +
+                     "' is held — critical sections stay compute-only; "
+                     "move it outside the lock scope");
+        }
       }
     }
   }
@@ -270,86 +139,54 @@ void check_lock_hygiene(const Ctx& ctx, const std::vector<Hold>& holds) {
 // atomic-discipline
 // ---------------------------------------------------------------------------
 
-void check_atomic_discipline(const Ctx& ctx) {
+void check_atomic_discipline(FileEntry& entry) {
+  const std::string& code = entry.file.code;
   // Shared mutable state is mutex-protected everywhere except the two
   // sanctioned lock-free designs: the per-thread counter shards and the
   // thread pool.
-  const std::string& path = ctx.file.rel_path;
+  const std::string& path = entry.file.rel_path;
   const bool sanctioned =
       path == "src/obs/counters.hpp" || path == "src/obs/counters.cpp" ||
       path == "src/util/thread_pool.hpp" || path == "src/util/thread_pool.cpp";
-  if (!sanctioned) {
-    static const std::string kAtomic = "std::atomic";
-    std::size_t pos = 0;
-    while ((pos = ctx.code.find(kAtomic, pos)) != std::string::npos) {
-      const std::size_t hit = pos;
-      pos += kAtomic.size();
-      if (hit > 0 && is_ident(ctx.code[hit - 1])) continue;
-      ctx.report(hit, "atomic-discipline",
-                 "raw std::atomic outside the sanctioned modules "
-                 "(src/obs/counters, src/util/thread_pool) — use "
-                 "CounterRegistry, a mutex, or justify with "
-                 "GRIDBW-ALLOW(atomic-discipline)");
-    }
+  for (const std::size_t hit : find_all(code, "std::atomic", false)) {
+    if (sanctioned || (hit > 0 && is_ident(code[hit - 1]))) continue;
+    report(entry, hit, "atomic-discipline",
+           "raw std::atomic outside the sanctioned modules "
+           "(src/obs/counters, src/util/thread_pool) — use "
+           "CounterRegistry, a mutex, or justify with "
+           "GRIDBW-ALLOW(atomic-discipline)");
   }
   // Non-default memory orders are a finding everywhere, sanctioned modules
   // included: relaxed/acquire/release reasoning must be written down.
   static const std::string kOrder = "memory_order";
-  std::size_t pos = 0;
-  while ((pos = ctx.code.find(kOrder, pos)) != std::string::npos) {
-    const std::size_t hit = pos;
-    pos += kOrder.size();
-    if (hit > 0 && is_ident(ctx.code[hit - 1])) continue;
+  for (const std::size_t hit : find_all(code, kOrder, false)) {
+    if (hit > 0 && is_ident(code[hit - 1])) continue;
     std::size_t i = hit + kOrder.size();
-    std::string order;
-    if (i < ctx.code.size() && ctx.code[i] == '_') {
-      std::size_t end = i + 1;
-      while (end < ctx.code.size() && is_ident(ctx.code[end])) ++end;
-      order = ctx.code.substr(i + 1, end - i - 1);
-    } else if (ctx.code.compare(i, 2, "::") == 0) {
-      std::size_t end = i + 2;
-      while (end < ctx.code.size() && is_ident(ctx.code[end])) ++end;
-      order = ctx.code.substr(i + 2, end - i - 2);
+    if (code.compare(i, 1, "_") == 0) {
+      i += 1;
+    } else if (code.compare(i, 2, "::") == 0) {
+      i += 2;
     } else {
       continue;  // the plain std::memory_order type, no specific order
     }
+    std::size_t end = i;
+    while (end < code.size() && is_ident(code[end])) ++end;
+    const std::string order = code.substr(i, end - i);
     if (order.empty() || order == "seq_cst") continue;
-    ctx.report(hit, "atomic-discipline",
-               "non-default memory_order '" + order +
-                   "' — seq_cst is the default; weaker orders need a "
-                   "GRIDBW-ALLOW(atomic-discipline) justification");
+    report(entry, hit, "atomic-discipline",
+           "non-default memory_order '" + order +
+               "' — seq_cst is the default; weaker orders need a "
+               "GRIDBW-ALLOW(atomic-discipline) justification");
   }
 }
 
 }  // namespace
 
-void run_concurrency_checks(const SourceFile& file, const std::string& code,
-                            const std::vector<std::size_t>& starts,
-                            const ScopeInfo& scope, const Options& options,
-                            std::vector<Finding>* out) {
-  const auto enabled = [&](const char* id) {
-    return options.checks.empty() || options.checks.count(id) != 0;
-  };
-  if (!enabled("lock-order") && !enabled("guarded-by") &&
-      !enabled("cv-wait-predicate") && !enabled("lock-scope-hygiene") &&
-      !enabled("atomic-discipline")) {
-    return;
-  }
-  const Ctx ctx{file, code, starts, out};
-  const std::vector<Hold> holds = hold_intervals(scope);
-  if (enabled("lock-order")) check_lock_order(ctx, scope, holds);
-  if (enabled("guarded-by")) check_guarded_by(ctx, scope, holds);
-  if (enabled("cv-wait-predicate")) check_cv_wait(ctx, scope);
-  if (enabled("lock-scope-hygiene")) check_lock_hygiene(ctx, holds);
-  if (enabled("atomic-discipline")) check_atomic_discipline(ctx);
-}
-
-void run_concurrency_checks(const SourceFile& file, const std::string& code,
-                            const std::vector<std::size_t>& starts,
-                            const Options& options,
-                            std::vector<Finding>* out) {
-  const ScopeInfo scope = build_scope_info(file, code, starts);
-  run_concurrency_checks(file, code, starts, scope, options, out);
+void run_concurrency_checks(FileEntry& entry) {
+  check_guarded_by(entry);
+  check_cv_wait(entry);
+  check_lock_hygiene(entry);
+  check_atomic_discipline(entry);
 }
 
 }  // namespace gridbw::analyze

@@ -18,11 +18,6 @@ struct Cell {
     capacity += 1;
   }
 
-  // gridbw:requires(mu)
-  void helper() {
-    applied -= 1;  // sanctioned: caller holds mu
-  }
-
   void allowed() {
     // GRIDBW-ALLOW(guarded-by): fixture-only suppression demo
     applied = 0;

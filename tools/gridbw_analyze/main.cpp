@@ -1,220 +1,12 @@
-// gridbw_analyze CLI. Exit codes: 0 clean (or --fix-baseline / --list-checks),
-// 1 new findings, 2 usage/IO error.
+// gridbw_analyze CLI: see usage_text() in cli.cpp. Exit codes: 0 clean,
+// 1 findings or stale GRIDBW-ALLOWs, 2 usage/IO error.
 
 #include "analyze.hpp"
 
-#include <chrono>
-#include <cstddef>
-#include <exception>
-#include <fstream>
 #include <iostream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
-namespace {
-
-std::string read_file_or_empty(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) return "";
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-/// The --json report: a wrapper object so the scan stats travel with the
-/// findings array (the array itself stays byte-identical across runs).
-std::string json_report(const gridbw::analyze::TreeReport& report,
-                        const std::vector<gridbw::analyze::Finding>& fresh,
-                        long long scan_ms) {
-  std::string findings = gridbw::analyze::render_json(fresh);
-  while (!findings.empty() && findings.back() == '\n') findings.pop_back();
-  std::string out = "{\n";
-  out += "  \"files_scanned\": " + std::to_string(report.files_scanned) + ",\n";
-  out += "  \"scan_ms\": " + std::to_string(scan_ms) + ",\n";
-  out += "  \"findings\": ";
-  // Indent the embedded array body by two spaces for readability.
-  for (const char c : findings) {
-    out.push_back(c);
-    if (c == '\n') out += "  ";
-  }
-  out += "\n}\n";
-  return out;
-}
-
-/// Diff-style summary grouped by check: what CI prints on failure.
-void print_summary(const std::vector<gridbw::analyze::Finding>& fresh,
-                   const std::vector<std::string>& stale) {
-  std::map<std::string, std::vector<const gridbw::analyze::Finding*>> by_check;
-  for (const gridbw::analyze::Finding& finding : fresh) {
-    by_check[finding.check].push_back(&finding);
-  }
-  for (const auto& [check, findings] : by_check) {
-    std::cout << "[" << check << "] " << findings.size()
-              << " new finding(s):\n";
-    for (const gridbw::analyze::Finding* finding : findings) {
-      std::cout << "  + " << finding->path << ":" << finding->line << ": "
-                << finding->message << "\n";
-    }
-  }
-  if (!stale.empty()) {
-    std::cout << "[baseline] " << stale.size()
-              << " stale entry/entries (fixed findings — run --fix-baseline):\n";
-    for (const std::string& key : stale) std::cout << "  - " << key << "\n";
-  }
-  if (by_check.empty() && stale.empty()) {
-    std::cout << "gridbw-analyze: clean — no new findings, no stale baseline "
-                 "entries\n";
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  using namespace gridbw::analyze;
-
-  std::string root;
-  std::string baseline_path;
-  std::string json_out_path;
-  bool fix_baseline = false;
-  bool json = false;
-  bool summary = false;
-  bool list_checks = false;
-  Options options;
-
-  const std::vector<std::string> args{argv + 1, argv + argc};
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= args.size()) {
-        std::cerr << "gridbw-analyze: " << arg << " needs a value\n"
-                  << usage_text();
-        std::exit(2);
-      }
-      return args[++i];
-    };
-    if (arg == "--root") {
-      root = value();
-    } else if (arg == "--baseline") {
-      baseline_path = value();
-    } else if (arg == "--fix-baseline") {
-      fix_baseline = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--json-out") {
-      json_out_path = value();
-    } else if (arg == "--summary") {
-      summary = true;
-    } else if (arg == "--threads") {
-      try {
-        options.threads = static_cast<std::size_t>(std::stoul(value()));
-      } catch (const std::exception&) {
-        std::cerr << "gridbw-analyze: --threads needs a number\n";
-        return 2;
-      }
-    } else if (arg == "--list-checks") {
-      list_checks = true;
-    } else if (arg == "--checks") {
-      std::istringstream list{value()};
-      std::string id;
-      while (std::getline(list, id, ',')) {
-        if (!id.empty()) options.checks.insert(id);
-      }
-    } else if (arg == "-h" || arg == "--help") {
-      std::cout << usage_text();
-      return 0;
-    } else {
-      std::cerr << "gridbw-analyze: unknown argument '" << arg << "'\n"
-                << usage_text();
-      return 2;
-    }
-  }
-
-  if (list_checks) {
-    for (const CheckInfo& check : check_catalogue()) {
-      std::cout << check.id << "\n    " << check.summary << "\n";
-    }
-    return 0;
-  }
-  if (root.empty()) {
-    std::cerr << "gridbw-analyze: --root is required\n" << usage_text();
-    return 2;
-  }
-  for (const std::string& id : options.checks) {
-    bool known = false;
-    for (const CheckInfo& check : check_catalogue()) known |= id == check.id;
-    if (!known) {
-      std::cerr << "gridbw-analyze: unknown check '" << id
-                << "' (see --list-checks)\n";
-      return 2;
-    }
-  }
-  if (fix_baseline && baseline_path.empty()) {
-    std::cerr << "gridbw-analyze: --fix-baseline needs --baseline FILE\n";
-    return 2;
-  }
-
-  try {
-    // Scan wall-time is a tool statistic, not simulated time.
-    // GRIDBW-ALLOW(wall-clock): measuring the analyzer itself.
-    const auto scan_begin = std::chrono::steady_clock::now();
-    const TreeReport report = analyze_tree(root, options);
-    const long long scan_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            // GRIDBW-ALLOW(wall-clock): measuring the analyzer itself.
-            std::chrono::steady_clock::now() - scan_begin)
-            .count();
-
-    if (fix_baseline) {
-      write_file_atomic(baseline_path, render_baseline(report.keys));
-      std::cout << "gridbw-analyze: baseline rewritten with "
-                << report.keys.size() << " finding(s) -> " << baseline_path
-                << "\n";
-      return 0;
-    }
-
-    Baseline baseline;
-    if (!baseline_path.empty()) {
-      baseline = parse_baseline(read_file_or_empty(baseline_path));
-    }
-    const BaselineSplit split =
-        apply_baseline(report.findings, report.keys, baseline);
-
-    if (!json_out_path.empty()) {
-      // Temp file + rename: an aborted scan can never leave a truncated
-      // report for the CI artifact upload.
-      write_file_atomic(json_out_path, json_report(report, split.fresh, scan_ms));
-    }
-    if (json) {
-      std::cout << json_report(report, split.fresh, scan_ms);
-    } else if (summary) {
-      print_summary(split.fresh, split.stale);
-    } else {
-      for (const Finding& finding : split.fresh) {
-        std::cout << finding.path << ":" << finding.line << ": ["
-                  << finding.check << "] " << finding.message << "\n";
-      }
-    }
-    for (const std::string& key : split.stale) {
-      std::cerr << "gridbw-analyze: stale baseline entry (fixed? run "
-                   "--fix-baseline): "
-                << key << "\n";
-    }
-    for (const std::string& stale : report.stale_allows) {
-      std::cerr << "gridbw-analyze: stale GRIDBW-ALLOW (unknown check id): "
-                << stale << "\n";
-    }
-    std::cerr << "gridbw-analyze: " << report.files_scanned << " file(s), "
-              << split.fresh.size() << " new finding(s), "
-              << split.baselined.size() << " baselined, " << split.stale.size()
-              << " stale, " << scan_ms << " ms\n";
-    std::cerr << "gridbw-analyze: call graph: " << report.call_edges_resolved
-              << " resolved edge(s), " << report.call_edges_unresolved
-              << " unresolved call site(s) (informational)\n";
-    return split.fresh.empty() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::cerr << error.what() << "\n";
-    return 2;
-  }
+  return gridbw::analyze::run_cli({argv + 1, argv + argc}, std::cout, std::cerr);
 }

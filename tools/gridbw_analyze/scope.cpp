@@ -1,10 +1,10 @@
 // Scope model: a brace/paren-tracking pass over stripped source. Matches
 // every brace pair, classifies the scope it opens (function body, control
 // statement, plain block), extracts RAII lock acquisitions with their hold
-// intervals, and parses the gridbw locking annotations. Still lexical — the
+// intervals, and parses gridbw:guarded_by annotations. Still lexical — the
 // same heuristic spirit as the rest of the catalogue, no libclang.
 
-#include "analyze.hpp"
+#include "scan.hpp"
 
 #include <algorithm>
 #include <cctype>
@@ -14,56 +14,10 @@
 
 namespace gridbw::analyze {
 
-namespace {
-
-bool is_ident(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-bool word_at(const std::string& text, std::size_t pos, const std::string& word) {
-  if (text.compare(pos, word.size(), word) != 0) return false;
-  if (pos > 0 && is_ident(text[pos - 1])) return false;
-  const std::size_t end = pos + word.size();
-  return end >= text.size() || !is_ident(text[end]);
-}
-
-std::size_t skip_ws(const std::string& text, std::size_t pos) {
-  while (pos < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-    ++pos;
-  }
-  return pos;
-}
-
-std::string trim(const std::string& s) {
-  const std::size_t first = s.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return "";
-  const std::size_t last = s.find_last_not_of(" \t\r");
-  return s.substr(first, last - first + 1);
-}
-
-/// The expression with every whitespace character removed — lock arguments
-/// and annotation operands normalize to the same spelling even when the
-/// declaration wraps across lines.
-std::string strip_spaces(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c)) == 0) out.push_back(c);
-  }
-  return out;
-}
-
-enum class ScopeKind { kFunction, kControl, kPlain };
-
-/// Classifies the scope opened by the '{' at `open` by scanning backwards.
-/// The skip set covers what a function-header tail is made of (identifiers,
-/// whitespace, template angles, qualifiers, ctor-init-list commas); the
-/// first structural character decides:
-///   ')'  → match it to its '(' and read the word before: a control keyword
-///          gives a control scope, a lambda capture ']' a transparent plain
-///          scope, anything else a function body;
-///   else → plain scope (class/namespace body, initializer list, ...).
-ScopeKind classify_scope(const std::string& code, std::size_t open) {
+std::size_t header_param_open(const std::string& code, std::size_t open) {
+  // Skip what a function-header tail is made of (identifiers, whitespace,
+  // template angles, qualifiers, trailing return, ctor-init-list commas),
+  // then match the ')' back to its '('.
   std::size_t i = open;
   while (i > 0) {
     const char c = code[i - 1];
@@ -73,19 +27,27 @@ ScopeKind classify_scope(const std::string& code, std::size_t open) {
     if (!skip) break;
     --i;
   }
-  if (i == 0 || code[i - 1] != ')') return ScopeKind::kPlain;
+  if (i == 0 || code[i - 1] != ')') return std::string::npos;
   int depth = 0;
-  std::size_t j = i - 1;
-  while (true) {
-    const char c = code[j];
-    if (c == ')') ++depth;
-    if (c == '(') {
-      --depth;
-      if (depth == 0) break;
-    }
-    if (j == 0) return ScopeKind::kPlain;
-    --j;
+  for (std::size_t j = i - 1;; --j) {
+    if (code[j] == ')') ++depth;
+    if (code[j] == '(' && --depth == 0) return j;
+    if (j == 0) return std::string::npos;
   }
+}
+
+namespace {
+
+enum class ScopeKind { kFunction, kControl, kPlain };
+
+/// Classifies the scope opened by the '{' at `open` from its header: no
+/// parameter list gives a plain scope (class/namespace body, initializer
+/// list, ...); otherwise the word before the '(' decides — a control keyword
+/// gives a control scope, a lambda capture ']' a transparent plain scope,
+/// anything else a function body.
+ScopeKind classify_scope(const std::string& code, std::size_t open) {
+  const std::size_t j = header_param_open(code, open);
+  if (j == std::string::npos) return ScopeKind::kPlain;
   std::size_t k = j;
   while (k > 0 && std::isspace(static_cast<unsigned char>(code[k - 1])) != 0) {
     --k;
@@ -154,29 +116,12 @@ std::size_t enclosing_scope_end(const std::vector<BracePair>& pairs,
 void collect_lock_sites(const std::string& code,
                         const std::vector<BracePair>& pairs,
                         std::vector<LockSite>* out) {
-  for (const char* raii : {"scoped_lock", "lock_guard", "unique_lock",
-                           "shared_lock"}) {
-    const std::string token = raii;
-    std::size_t pos = 0;
-    while ((pos = code.find(token, pos)) != std::string::npos) {
-      const std::size_t hit = pos;
-      pos += token.size();
-      if (!word_at(code, hit, token)) continue;
-      std::size_t i = hit + token.size();
-      i = skip_ws(code, i);
+  for (const std::string token : {"scoped_lock", "lock_guard", "unique_lock",
+                                  "shared_lock"}) {
+    for (const std::size_t hit : find_all(code, token, true)) {
+      std::size_t i = skip_ws(code, hit + token.size());
       if (i < code.size() && code[i] == '<') {  // template argument list
-        int depth = 0;
-        while (i < code.size()) {
-          if (code[i] == '<') ++depth;
-          if (code[i] == '>') {
-            --depth;
-            if (depth == 0) {
-              ++i;
-              break;
-            }
-          }
-          ++i;
-        }
+        i = std::min(close_of(code, i, '<', '>') + 1, code.size());
       }
       i = skip_ws(code, i);
       std::size_t name_end = i;
@@ -228,12 +173,8 @@ void collect_lock_sites(const std::string& code,
 
       site.release = enclosing_scope_end(pairs, hit, code.size());
       // An explicit var.unlock() ends the hold early.
-      std::size_t u = j;
-      while ((u = code.find(site.var, u)) != std::string::npos &&
-             u < site.release) {
-        const std::size_t var_hit = u;
-        u += site.var.size();
-        if (!word_at(code, var_hit, site.var)) continue;
+      for (const std::size_t var_hit :
+           find_all(code, site.var, true, j, site.release)) {
         const std::size_t after = skip_ws(code, var_hit + site.var.size());
         if (code.compare(after, 7, ".unlock") == 0) {
           site.release = var_hit;
@@ -247,112 +188,43 @@ void collect_lock_sites(const std::string& code,
             [](const LockSite& a, const LockSite& b) { return a.pos < b.pos; });
 }
 
-std::vector<std::string> split_operands(const std::string& inner) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (const char c : inner) {
-    if (c == ',') {
-      if (!strip_spaces(current).empty()) parts.push_back(strip_spaces(current));
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  if (!strip_spaces(current).empty()) parts.push_back(strip_spaces(current));
-  return parts;
-}
-
-/// Parses the locking annotations out of one line set. `code`/`starts` are
-/// empty for the companion header: gridbw:requires binds a function body in
-/// the file being scanned, so it is file-local by construction.
-void parse_annotations(const std::vector<std::string>& raw_lines,
-                       const std::vector<std::string>& code_lines,
-                       bool companion, const std::string& code,
-                       const std::vector<std::size_t>& starts,
-                       ScopeInfo* info) {
-  static const std::string kOrder = "// gridbw:lock-order(";
-  static const std::string kRequires = "// gridbw:requires(";
+/// Fields annotated `// gridbw:guarded_by(mu)` in one line set: the
+/// annotation trails the field declaration on its own line. `companion`
+/// marks the sibling header, whose declaration lines are not in this file.
+void collect_guarded(const std::vector<std::string>& raw_lines,
+                     const std::vector<std::string>& code_lines, bool companion,
+                     std::vector<GuardedField>* out) {
   static const std::string kGuard = "gridbw:guarded_by(";
-
   for (std::size_t i = 0; i < raw_lines.size(); ++i) {
-    const std::string line = trim(raw_lines[i]);
-
-    // Contract and requires annotations are standalone comment lines, so
-    // prose that merely mentions the grammar never declares anything.
-    if (line.compare(0, kOrder.size(), kOrder) == 0 && line.back() == ')') {
-      const std::string inner =
-          line.substr(kOrder.size(), line.size() - kOrder.size() - 1);
-      const std::size_t lt = inner.find('<');
-      if (lt == std::string::npos) continue;
-      LockOrderContract contract;
-      contract.first = strip_spaces(inner.substr(0, lt));
-      contract.second = strip_spaces(inner.substr(lt + 1));
-      if (!contract.first.empty() && !contract.second.empty()) {
-        info->contracts.push_back(contract);
-      }
+    const std::string& raw = raw_lines[i];
+    const std::size_t g = raw.find(kGuard);
+    if (g == std::string::npos) continue;
+    const std::size_t slashes = raw.find("//");
+    const std::size_t close = raw.find(')', g);
+    if (slashes == std::string::npos || slashes > g ||
+        close == std::string::npos) {
       continue;
     }
-
-    if (!companion && line.compare(0, kRequires.size(), kRequires) == 0 &&
-        line.back() == ')') {
-      const std::string inner =
-          line.substr(kRequires.size(), line.size() - kRequires.size() - 1);
-      RequiresSite site;
-      site.mutexes = split_operands(inner);
-      if (site.mutexes.empty()) continue;
-      const std::size_t from =
-          i + 1 < starts.size() ? starts[i + 1] : code.size();
-      const std::size_t open = code.find('{', from);
-      if (open == std::string::npos) continue;
-      int depth = 0;
-      std::size_t close = open;
-      while (close < code.size()) {
-        if (code[close] == '{') ++depth;
-        if (code[close] == '}') {
-          --depth;
-          if (depth == 0) break;
-        }
-        ++close;
-      }
-      site.body_open = open;
-      site.body_close = close;
-      info->requires_held.push_back(site);
-      continue;
-    }
-
-    // guarded_by trails the field declaration on its own line.
-    const std::size_t g = raw_lines[i].find(kGuard);
-    if (g != std::string::npos) {
-      const std::size_t slashes = raw_lines[i].find("//");
-      const std::size_t close = raw_lines[i].find(')', g);
-      if (slashes == std::string::npos || slashes > g ||
-          close == std::string::npos) {
-        continue;
-      }
-      const std::string mutex = strip_spaces(
-          raw_lines[i].substr(g + kGuard.size(), close - g - kGuard.size()));
-      if (mutex.empty()) continue;
-      // Field name: the last identifier before the declarator's terminator
-      // (';', '=', or a brace initializer) in the stripped code line.
-      const std::string& decl = code_lines[i];
-      std::size_t end = decl.find_first_of(";={");
-      if (end == std::string::npos) end = decl.size();
-      while (end > 0 && !is_ident(decl[end - 1])) --end;
-      std::size_t begin = end;
-      while (begin > 0 && is_ident(decl[begin - 1])) --begin;
-      if (end == begin) continue;
-      info->guarded.push_back({decl.substr(begin, end - begin), mutex,
-                               companion ? 0 : static_cast<int>(i) + 1});
-    }
+    const std::string mutex =
+        strip_spaces(raw.substr(g + kGuard.size(), close - g - kGuard.size()));
+    if (mutex.empty()) continue;
+    // Field name: the last identifier before the declarator's terminator
+    // (';', '=', or a brace initializer) in the stripped code line.
+    const std::string& decl = code_lines[i];
+    std::size_t end = decl.find_first_of(";={");
+    if (end == std::string::npos) end = decl.size();
+    while (end > 0 && !is_ident(decl[end - 1])) --end;
+    std::size_t begin = end;
+    while (begin > 0 && is_ident(decl[begin - 1])) --begin;
+    if (end == begin) continue;
+    out->push_back({decl.substr(begin, end - begin), mutex,
+                    companion ? 0 : static_cast<int>(i) + 1});
   }
 }
 
 void collect_cv_names(const std::string& code, std::vector<std::string>* out) {
   static const std::string kToken = "condition_variable";
-  std::size_t pos = 0;
-  while ((pos = code.find(kToken, pos)) != std::string::npos) {
-    const std::size_t hit = pos;
-    pos += kToken.size();
+  for (const std::size_t hit : find_all(code, kToken, false)) {
     if (hit > 0 && is_ident(code[hit - 1])) continue;
     std::size_t i = hit + kToken.size();
     if (code.compare(i, 4, "_any") == 0) i += 4;
@@ -376,21 +248,20 @@ bool mutex_matches(const std::string& held, const std::string& name) {
   return before == '.' || before == '>';  // member access: `.name` / `->name`
 }
 
-ScopeInfo build_scope_info(const SourceFile& file, const std::string& code,
-                           const std::vector<std::size_t>& starts) {
+ScopeInfo build_scope_info(const SourceFile& file) {
   ScopeInfo info;
-  const std::vector<BracePair> pairs = match_braces(code);
+  const std::vector<BracePair> pairs = match_braces(file.code);
   for (const BracePair& pair : pairs) {
     if (pair.outermost_function) {
       info.functions.push_back({pair.open, pair.close});
     }
   }
-  collect_lock_sites(code, pairs, &info.locks);
-  parse_annotations(file.raw_lines, file.code_lines, /*companion=*/false, code,
-                    starts, &info);
-  parse_annotations(file.companion_raw_lines, file.companion_code_lines,
-                    /*companion=*/true, "", {}, &info);
-  collect_cv_names(code, &info.cv_names);
+  collect_lock_sites(file.code, pairs, &info.locks);
+  collect_guarded(file.raw_lines, file.code_lines, /*companion=*/false,
+                  &info.guarded);
+  collect_guarded(file.companion_raw_lines, file.companion_code_lines,
+                  /*companion=*/true, &info.guarded);
+  collect_cv_names(file.code, &info.cv_names);
   collect_cv_names(file.companion_code, &info.cv_names);
   std::sort(info.cv_names.begin(), info.cv_names.end());
   info.cv_names.erase(std::unique(info.cv_names.begin(), info.cv_names.end()),

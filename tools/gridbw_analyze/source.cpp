@@ -1,5 +1,6 @@
-#include "analyze.hpp"
+#include "scan.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <set>
 
@@ -73,30 +74,35 @@ SourceFile make_source(std::string rel_path, const std::string& text) {
   SourceFile file;
   file.rel_path = std::move(rel_path);
   file.raw_lines = split_lines(text);
-  file.code_lines = split_lines(strip_comments_and_strings(text));
+  file.code = strip_comments_and_strings(text);
+  file.code_lines = split_lines(file.code);
+  file.starts.push_back(0);
+  for (std::size_t i = 0; i < file.code.size(); ++i) {
+    if (file.code[i] == '\n') file.starts.push_back(i + 1);
+  }
   return file;
-}
-
-void attach_companion(SourceFile& file, const std::string& text) {
-  file.companion_code = strip_comments_and_strings(text);
-  file.companion_raw_lines = split_lines(text);
-  file.companion_code_lines = split_lines(file.companion_code);
 }
 
 namespace {
 
-/// True when `line` contains `GRIDBW-ALLOW(<check>)`.
-bool line_allows(const std::string& line, const std::string& check) {
-  std::size_t pos = 0;
+/// The ids named by `GRIDBW-ALLOW(<id>)` markers on one raw line.
+std::vector<std::string> allow_ids(const std::string& line) {
   static const std::string kMarker = "GRIDBW-ALLOW(";
+  std::vector<std::string> ids;
+  std::size_t pos = 0;
   while ((pos = line.find(kMarker, pos)) != std::string::npos) {
     const std::size_t open = pos + kMarker.size();
     const std::size_t close = line.find(')', open);
-    if (close == std::string::npos) return false;
-    if (line.compare(open, close - open, check) == 0) return true;
+    if (close == std::string::npos) break;
+    ids.push_back(line.substr(open, close - open));
     pos = close;
   }
-  return false;
+  return ids;
+}
+
+bool line_allows(const std::string& line, const std::string& check) {
+  const std::vector<std::string> ids = allow_ids(line);
+  return std::find(ids.begin(), ids.end(), check) != ids.end();
 }
 
 }  // namespace
@@ -109,27 +115,18 @@ bool SourceFile::suppressed(int line, const std::string& check) const {
 }
 
 std::vector<std::string> stale_allows_in(const SourceFile& file) {
-  static const std::string kMarker = "GRIDBW-ALLOW(";
   std::set<std::string> known;
   for (const CheckInfo& info : check_catalogue()) known.insert(info.id);
 
   std::vector<std::string> stale;
   for (std::size_t i = 0; i < file.raw_lines.size(); ++i) {
-    const std::string& line = file.raw_lines[i];
-    std::size_t pos = 0;
-    while ((pos = line.find(kMarker, pos)) != std::string::npos) {
-      const std::size_t open = pos + kMarker.size();
-      const std::size_t close = line.find(')', open);
-      if (close == std::string::npos) break;
-      const std::string id = line.substr(open, close - open);
-      pos = close;
+    for (const std::string& id : allow_ids(file.raw_lines[i])) {
       // An "id" with characters outside [a-z0-9-] is prose about the
       // mechanism (docs write GRIDBW-ALLOW(<check>)), not a suppression.
-      bool id_like = !id.empty();
-      for (const char c : id) {
-        id_like = id_like && ((c >= 'a' && c <= 'z') ||
-                              (c >= '0' && c <= '9') || c == '-');
-      }
+      const bool id_like =
+          !id.empty() && std::all_of(id.begin(), id.end(), [](char c) {
+            return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '-';
+          });
       if (id_like && known.count(id) == 0) {
         stale.push_back(file.rel_path + ":" + std::to_string(i + 1) + ": " + id);
       }

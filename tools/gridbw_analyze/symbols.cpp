@@ -1,77 +1,22 @@
-#include "symbols.hpp"
+// Project-wide symbol index, the per-file half: names every outermost
+// function body the scope parser found (the qualified identifier written
+// before the parameter list) and binds `// gridbw:hot` annotations and
+// symbol-level ALLOWs to it — from the definition file, and from the sibling
+// header by declared name (a `// gridbw:hot` above a declaration in x.hpp
+// marks the definition in x.cpp). `operator` overloads, `noexcept(...)`
+// tails and similar unnameable headers are skipped rather than guessed at.
+
+#include "scan.hpp"
 
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
-#include <set>
 #include <string>
 #include <vector>
 
 namespace gridbw::analyze {
 
 namespace {
-
-bool is_ident(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-std::size_t skip_ws(const std::string& text, std::size_t pos) {
-  while (pos < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-    ++pos;
-  }
-  return pos;
-}
-
-std::string trim(const std::string& s) {
-  const std::size_t first = s.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return "";
-  const std::size_t last = s.find_last_not_of(" \t\r");
-  return s.substr(first, last - first + 1);
-}
-
-std::string strip_spaces(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c)) == 0) out.push_back(c);
-  }
-  return out;
-}
-
-int line_of(const std::vector<std::size_t>& starts, std::size_t pos) {
-  const auto it = std::upper_bound(starts.begin(), starts.end(), pos);
-  return static_cast<int>(it - starts.begin());
-}
-
-/// Position of the '(' opening the parameter list of the function header
-/// whose body opens at `open` — the same backward scan classify_scope uses
-/// (scope.cpp): skip the header tail (qualifiers, trailing return, ctor-init
-/// commas), match the ')' back to its '('. npos when the shape is not a
-/// plausible header (the scope parser then never called it a function).
-std::size_t header_param_open(const std::string& code, std::size_t open) {
-  std::size_t i = open;
-  while (i > 0) {
-    const char c = code[i - 1];
-    const bool skip = is_ident(c) || c == ' ' || c == '\t' || c == '\n' ||
-                      c == ':' || c == '<' || c == '>' || c == ',' ||
-                      c == '*' || c == '&' || c == '-';
-    if (!skip) break;
-    --i;
-  }
-  if (i == 0 || code[i - 1] != ')') return std::string::npos;
-  int depth = 0;
-  std::size_t j = i - 1;
-  while (true) {
-    const char c = code[j];
-    if (c == ')') ++depth;
-    if (c == '(') {
-      --depth;
-      if (depth == 0) return j;
-    }
-    if (j == 0) return std::string::npos;
-    --j;
-  }
-}
 
 /// The qualified identifier directly before `paren`: identifier characters,
 /// '~', and '::' separators ("AdmissionService::execute_arrival"). Empty for
@@ -117,30 +62,12 @@ bool unnameable(const std::string& qualified) {
 }
 
 /// The first '{' at or after the line following `annotation_line` (0-based),
-/// i.e. the body the standalone-comment annotation binds to — the same rule
-/// check_hot_path uses.
-std::size_t body_after_line(const std::string& code,
-                            const std::vector<std::size_t>& starts,
-                            std::size_t annotation_line) {
-  const std::size_t from = annotation_line + 1 < starts.size()
-                               ? starts[annotation_line + 1]
-                               : code.size();
-  return code.find('{', from);
-}
-
-std::vector<std::string> split_operands(const std::string& inner) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (const char c : inner) {
-    if (c == ',') {
-      if (!strip_spaces(current).empty()) parts.push_back(strip_spaces(current));
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  if (!strip_spaces(current).empty()) parts.push_back(strip_spaces(current));
-  return parts;
+/// i.e. the body the standalone-comment annotation binds to.
+std::size_t body_after_line(const SourceFile& file, std::size_t annotation_line) {
+  const std::size_t from = annotation_line + 1 < file.starts.size()
+                               ? file.starts[annotation_line + 1]
+                               : file.code.size();
+  return file.code.find('{', from);
 }
 
 /// The name declared by the first '('-terminated identifier in the lines
@@ -173,45 +100,14 @@ Symbol* symbol_with_body(std::vector<Symbol>& symbols, std::size_t open) {
   return nullptr;
 }
 
-void collect_includes(const SourceFile& file, std::vector<std::string>* out) {
-  for (std::size_t i = 0; i < file.code_lines.size(); ++i) {
-    const std::string& code_line = file.code_lines[i];
-    const std::size_t hash = code_line.find_first_not_of(" \t");
-    if (hash == std::string::npos || code_line[hash] != '#') continue;
-    const std::size_t kw = skip_ws(code_line, hash + 1);
-    if (code_line.compare(kw, 7, "include") != 0) continue;
-    const std::string& raw = file.raw_lines[i];
-    const std::size_t open = raw.find('"');
-    if (open == std::string::npos) continue;  // <system> include
-    const std::size_t close = raw.find('"', open + 1);
-    if (close == std::string::npos) continue;
-    out->push_back(raw.substr(open + 1, close - open - 1));
-  }
-}
-
 /// Names declared with std::function type: `std::function<...>[&*] name`.
 void collect_callable_names(const std::string& code,
                             std::vector<std::string>* out) {
   static const std::string kToken = "std::function";
-  std::size_t pos = 0;
-  while ((pos = code.find(kToken, pos)) != std::string::npos) {
-    std::size_t i = pos + kToken.size();
-    pos = i;
-    i = skip_ws(code, i);
+  for (const std::size_t hit : find_all(code, kToken, false)) {
+    std::size_t i = skip_ws(code, hit + kToken.size());
     if (i >= code.size() || code[i] != '<') continue;
-    int depth = 0;
-    while (i < code.size()) {
-      if (code[i] == '<') ++depth;
-      if (code[i] == '>') {
-        --depth;
-        if (depth == 0) {
-          ++i;
-          break;
-        }
-      }
-      ++i;
-    }
-    i = skip_ws(code, i);
+    i = skip_ws(code, std::min(close_of(code, i, '<', '>') + 1, code.size()));
     while (i < code.size() && (code[i] == '&' || code[i] == '*')) {
       i = skip_ws(code, i + 1);
     }
@@ -226,12 +122,8 @@ void collect_callable_names(const std::string& code,
 void collect_virtual_methods(const std::string& code,
                              std::vector<std::string>* out) {
   static const std::string kToken = "virtual";
-  std::size_t pos = 0;
-  while ((pos = code.find(kToken, pos)) != std::string::npos) {
-    const std::size_t hit = pos;
-    pos += kToken.size();
-    if (hit > 0 && is_ident(code[hit - 1])) continue;
-    if (pos < code.size() && is_ident(code[pos])) continue;
+  for (const std::size_t hit : find_all(code, kToken, true)) {
+    const std::size_t pos = hit + kToken.size();
     const std::size_t paren = code.find('(', pos);
     if (paren == std::string::npos || paren > pos + 200) continue;
     std::size_t end = paren;
@@ -254,9 +146,8 @@ void sort_unique(std::vector<std::string>* v) {
 
 }  // namespace
 
-FileSymbols extract_symbols(const SourceFile& file, const std::string& code,
-                            const std::vector<std::size_t>& starts,
-                            const ScopeInfo& scope) {
+FileSymbols extract_symbols(const SourceFile& file, const ScopeInfo& scope) {
+  const std::string& code = file.code;
   FileSymbols table;
 
   for (const FunctionScope& fn : scope.functions) {
@@ -269,7 +160,7 @@ FileSymbols extract_symbols(const SourceFile& file, const std::string& code,
     symbol.name = last_component(qualified);
     symbol.body_open = fn.open;
     symbol.body_close = fn.close;
-    symbol.line = line_of(starts, fn.open);
+    symbol.line = line_of(file.starts, fn.open);
     symbol.hot_allow = file.suppressed(symbol.line, "hot-propagation");
     table.symbols.push_back(std::move(symbol));
   }
@@ -279,60 +170,29 @@ FileSymbols extract_symbols(const SourceFile& file, const std::string& code,
             });
 
   // Definition-file annotations bind by body position (the first '{' after
-  // the standalone comment line), exactly like the intraprocedural checks.
+  // the standalone comment line).
   static const std::string kHot = "// gridbw:hot";
-  static const std::string kRequires = "// gridbw:requires(";
   for (std::size_t i = 0; i < file.raw_lines.size(); ++i) {
-    const std::string line = trim(file.raw_lines[i]);
-    if (line == kHot) {
-      Symbol* s = symbol_with_body(table.symbols, body_after_line(code, starts, i));
-      if (s != nullptr) s->hot = true;
-    } else if (line.compare(0, kRequires.size(), kRequires) == 0 &&
-               !line.empty() && line.back() == ')') {
-      Symbol* s = symbol_with_body(table.symbols, body_after_line(code, starts, i));
-      if (s != nullptr) {
-        const std::string inner =
-            line.substr(kRequires.size(), line.size() - kRequires.size() - 1);
-        for (std::string& mutex : split_operands(inner)) {
-          s->requires_mutexes.push_back(std::move(mutex));
-        }
-      }
-    }
+    if (trim(file.raw_lines[i]) != kHot) continue;
+    Symbol* s = symbol_with_body(table.symbols, body_after_line(file, i));
+    if (s != nullptr) s->hot = true;
   }
 
   // Sibling-header annotations bind by declared name: a `// gridbw:hot`
   // above a declaration in x.hpp marks every same-named definition in x.cpp
   // (overloads share the marking — the conservative direction).
-  std::vector<std::string> companion_hot;
-  std::vector<std::pair<std::string, std::vector<std::string>>> companion_requires;
   for (std::size_t i = 0; i < file.companion_raw_lines.size(); ++i) {
-    const std::string line = trim(file.companion_raw_lines[i]);
-    if (line == kHot) {
-      const std::string name =
-          declared_name_after(file.companion_code_lines, i + 1);
-      if (!name.empty()) companion_hot.push_back(name);
-    } else if (line.compare(0, kRequires.size(), kRequires) == 0 &&
-               !line.empty() && line.back() == ')') {
-      const std::string name =
-          declared_name_after(file.companion_code_lines, i + 1);
-      const std::string inner =
-          line.substr(kRequires.size(), line.size() - kRequires.size() - 1);
-      if (!name.empty()) companion_requires.emplace_back(name, split_operands(inner));
-    }
-  }
-  for (Symbol& symbol : table.symbols) {
-    for (const std::string& name : companion_hot) {
-      if (symbol.name == name) symbol.hot = true;
-    }
-    for (const auto& [name, mutexes] : companion_requires) {
-      if (symbol.name != name) continue;
-      for (const std::string& mutex : mutexes) {
-        symbol.requires_mutexes.push_back(mutex);
-      }
+    if (trim(file.companion_raw_lines[i]) != kHot) continue;
+    const std::string name = declared_name_after(file.companion_code_lines, i + 1);
+    for (Symbol& symbol : table.symbols) {
+      if (!name.empty() && symbol.name == name) symbol.hot = true;
     }
   }
 
-  collect_includes(file, &table.quoted_includes);
+  for (std::size_t i = 0; i < file.code_lines.size(); ++i) {
+    const std::string include = quoted_include(file, i);
+    if (!include.empty()) table.quoted_includes.push_back(include);
+  }
   collect_callable_names(code, &table.callable_names);
   collect_callable_names(file.companion_code, &table.callable_names);
   collect_virtual_methods(code, &table.virtual_methods);
