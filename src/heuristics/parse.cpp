@@ -1,13 +1,17 @@
 #include "heuristics/parse.hpp"
 
-#include <cmath>
+#include <array>
+#include <cstdint>
+#include <cstdio>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "heuristics/flexible_bookahead.hpp"
 #include "heuristics/flexible_greedy.hpp"
 #include "heuristics/rigid_fcfs.hpp"
+#include "util/parse.hpp"
 
 namespace gridbw::heuristics {
 namespace {
@@ -35,17 +39,19 @@ struct Options {
     return out;
   }
 
-  double number(const std::string& spec, const std::string& key, double fallback) {
+  /// The value of `key` read by one of util/parse.hpp's strict parsers, or
+  /// nullopt when the spec does not give it.
+  template <typename T>
+  std::optional<T> value(const std::string& spec, const std::string& key,
+                         T (*read)(const std::string&, const std::string&)) {
     const auto it = values.find(key);
-    if (it == values.end()) return fallback;
+    if (it == values.end()) return std::nullopt;
     try {
-      std::size_t used = 0;
-      const double v = std::stod(it->second, &used);
-      if (used != it->second.size()) throw std::invalid_argument{"trailing junk"};
+      const T v = read(key, it->second);
       values.erase(it);
       return v;
-    } catch (const std::exception&) {
-      fail(spec, "bad numeric value for '" + key + "'");
+    } catch (const ValueError& e) {
+      fail(spec, e.what());
     }
   }
 
@@ -64,11 +70,18 @@ struct Options {
 /// Extracts the policy from `opts`: `minrate` or `f=<x>` (default MinRate).
 BandwidthPolicy take_policy(const std::string& spec, Options& opts) {
   const bool minrate = opts.flag("minrate");
-  const double f = opts.number(spec, "f", 0.0);
-  if (minrate && f != 0.0) fail(spec, "give either 'minrate' or 'f=', not both");
-  if (f == 0.0) return BandwidthPolicy::min_rate();
-  if (f < 0.0 || f > 1.0) fail(spec, "f must be in (0, 1]");
-  return BandwidthPolicy::fraction_of_max(f);
+  const std::optional<double> f = opts.value(spec, "f", parse_double);
+  if (!f.has_value()) return BandwidthPolicy::min_rate();
+  if (!(*f > 0.0 && *f <= 1.0)) fail(spec, "f must be in (0, 1]");
+  if (minrate) fail(spec, "give either 'minrate' or 'f=', not both");
+  return BandwidthPolicy::fraction_of_max(*f);
+}
+
+/// Extracts the interval length `step=<s>` in seconds (default 400).
+Duration take_step(const std::string& spec, Options& opts) {
+  const double step = opts.value(spec, "step", parse_double).value_or(400.0);
+  if (!(step > 0.0)) fail(spec, "step must be positive");
+  return Duration::seconds(step);
 }
 
 }  // namespace
@@ -107,13 +120,9 @@ NamedScheduler parse_scheduler(const std::string& spec) {
     Options opts = Options::parse(spec, rest);
     WindowOptions w;
     w.policy = take_policy(spec, opts);
-    const double step = opts.number(spec, "step", 400.0);
-    if (!(step > 0.0) || !std::isfinite(step)) fail(spec, "step must be positive");
-    w.step = Duration::seconds(step);
-    w.hotspot_weight = opts.number(spec, "hotspot", 0.0);
-    if (!(w.hotspot_weight >= 0.0) || !std::isfinite(w.hotspot_weight)) {
-      fail(spec, "hotspot weight must be >= 0");
-    }
+    w.step = take_step(spec, opts);
+    w.hotspot_weight = opts.value(spec, "hotspot", parse_double).value_or(0.0);
+    if (!(w.hotspot_weight >= 0.0)) fail(spec, "hotspot weight must be >= 0");
     opts.expect_empty(spec);
     return make_window(w);
   }
@@ -122,11 +131,7 @@ NamedScheduler parse_scheduler(const std::string& spec) {
     MalleableOptions m;
     m.policy = take_policy(spec, opts);
     m.reshape = !opts.flag("rigid");
-    if (kind == "mwindow") {
-      const double step = opts.number(spec, "step", 400.0);
-      if (!(step > 0.0) || !std::isfinite(step)) fail(spec, "step must be positive");
-      m.step = Duration::seconds(step);
-    }
+    if (kind == "mwindow") m.step = take_step(spec, opts);
     opts.expect_empty(spec);
     return kind == "mgreedy" ? make_malleable_greedy(m) : make_malleable_window(m);
   }
@@ -134,15 +139,15 @@ NamedScheduler parse_scheduler(const std::string& spec) {
     Options opts = Options::parse(spec, rest);
     BookAheadOptions b;
     b.policy = take_policy(spec, opts);
-    const double step = opts.number(spec, "step", 400.0);
-    if (!(step > 0.0) || !std::isfinite(step)) fail(spec, "step must be positive");
-    b.step = Duration::seconds(step);
-    const double ahead = opts.number(spec, "ahead", 4.0);
-    if (!(ahead >= 0.0) || !std::isfinite(ahead)) fail(spec, "ahead must be >= 0");
+    b.step = take_step(spec, opts);
+    const std::int64_t ahead = opts.value(spec, "ahead", parse_int).value_or(4);
+    if (ahead < 0) fail(spec, "ahead must be >= 0");
     b.max_book_ahead = static_cast<std::size_t>(ahead);
     opts.expect_empty(spec);
-    std::string name = "bookahead" + std::to_string(static_cast<int>(step)) + "x" +
-                       std::to_string(b.max_book_ahead) + "/" + b.policy.name();
+    std::array<char, 64> buf{};
+    std::snprintf(buf.data(), buf.size(), "bookahead%.0f", b.step.to_seconds());
+    std::string name = std::string{buf.data()} + "x" + std::to_string(b.max_book_ahead) +
+                       "/" + b.policy.name();
     return NamedScheduler{
         std::move(name),
         [b](const Network& n, std::span<const Request> r, obs::Observer* observer) {
@@ -155,7 +160,7 @@ NamedScheduler parse_scheduler(const std::string& spec) {
 std::string scheduler_grammar() {
   return "scheduler spec:\n"
          "  fcfs | cumulated | minbw | minvol          (rigid, §4)\n"
-         "  greedy:[minrate|f=<0..1>]                  (Algorithm 2)\n"
+         "  greedy:[minrate|f=<x>]                     (Algorithm 2; 0 < x <= 1)\n"
          "  window:step=<s>[,minrate|f=<x>][,hotspot=<w>]   (Algorithm 3)\n"
          "  mgreedy:[minrate|f=<x>][,rigid]            (malleable, reshapes on departures)\n"
          "  mwindow:step=<s>[,minrate|f=<x>][,rigid]   (malleable WINDOW)\n"

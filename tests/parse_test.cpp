@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/validate.hpp"
@@ -62,11 +64,57 @@ TEST(ParseScheduler, ErrorsNameTheProblem) {
   EXPECT_THROW((void)parse_scheduler("greedy:minrate,f=0.5"), std::invalid_argument);
   EXPECT_THROW((void)parse_scheduler("greedy:f=0.5,f=0.8"), std::invalid_argument);
   EXPECT_THROW((void)parse_scheduler("bookahead:ahead=-1"), std::invalid_argument);
-  // std::stod parses "nan"/"inf" — the numeric gates must still refuse them.
+  // Non-finite numbers are refused.
   EXPECT_THROW((void)parse_scheduler("window:step=nan"), std::invalid_argument);
   EXPECT_THROW((void)parse_scheduler("window:step=inf"), std::invalid_argument);
   EXPECT_THROW((void)parse_scheduler("window:hotspot=nan"), std::invalid_argument);
   EXPECT_THROW((void)parse_scheduler("bookahead:ahead=nan"), std::invalid_argument);
+}
+
+/// The message parse_scheduler(spec) throws, or "" if it accepts the spec.
+std::string rejection(const std::string& spec) {
+  try {
+    (void)parse_scheduler(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ParseScheduler, ZeroFractionIsRejectedNotReadAsMinRate) {
+  // 0 used to be the "no f given" sentinel, so f=0 silently meant MinRate.
+  for (const char* spec : {"greedy:f=0", "mgreedy:f=-0", "window:minrate,f=0",
+                           "bookahead:f=0.0"}) {
+    EXPECT_NE(rejection(spec).find("f must be in (0, 1]"), std::string::npos) << spec;
+  }
+  EXPECT_NE(rejection("greedy:f=-0.5").find("f must be in (0, 1]"), std::string::npos);
+}
+
+TEST(ParseScheduler, NumbersAreStrictDecimals) {
+  // std::stod read hex floats; the strict parser of util/parse.hpp does not.
+  for (const char* spec : {"mgreedy:f=0x1p-3", "window:step=0x10", "window:step= 5",
+                           "mwindow:step=1e400", "window:hotspot=0x1"}) {
+    EXPECT_NE(rejection(spec).find("is not a finite number"), std::string::npos) << spec;
+  }
+  EXPECT_EQ(parse_scheduler("mgreedy:f=0.25").name, "mgreedy/f=0.25");
+}
+
+TEST(ParseScheduler, BookAheadDepthIsAnInteger) {
+  // ahead=2.5 used to truncate to 2, and ahead=1e300 overflowed the cast
+  // to size_t.
+  for (const char* spec : {"bookahead:ahead=2.5", "bookahead:ahead=1e300",
+                           "bookahead:ahead=4.0", "bookahead:ahead=abc"}) {
+    EXPECT_NE(rejection(spec).find("'ahead' is not an integer"), std::string::npos) << spec;
+  }
+  EXPECT_NE(rejection("bookahead:ahead=-1").find("ahead must be >= 0"), std::string::npos);
+  EXPECT_EQ(parse_scheduler("bookahead:step=100,ahead=0").name, "bookahead100x0/minrate");
+}
+
+TEST(ParseScheduler, BookAheadNameKeepsLargeSteps) {
+  // The name used to go through static_cast<int>(step), which overflowed.
+  EXPECT_EQ(parse_scheduler("bookahead:step=3e9,ahead=8").name,
+            "bookahead3000000000x8/minrate");
+  EXPECT_EQ(parse_scheduler("bookahead:step=400").name, "bookahead400x4/minrate");
 }
 
 TEST(ParseScheduler, GrammarMentionsEveryKind) {
