@@ -1,9 +1,12 @@
 #include "control/messages.hpp"
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <sstream>
+
+#include "util/parse.hpp"
 
 namespace gridbw::control {
 namespace {
@@ -37,18 +40,15 @@ class FieldReader {
   explicit FieldReader(const std::map<std::string, std::string>& fields)
       : fields_{fields} {}
 
+  /// A finite number (util/parse.hpp's parse_double).
   std::optional<double> number(const std::string& key) {
-    const auto it = fields_.find(key);
-    if (it == fields_.end()) return std::nullopt;
-    ++consumed_;
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(it->second, &used);
-      if (used != it->second.size()) return std::nullopt;
-      return value;
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
+    return parsed(key, parse_double);
+  }
+
+  /// An id or port index: a whole non-negative integer, never through a
+  /// double (every 64-bit id round-trips; -1, 1e300 and nan are malformed).
+  std::optional<std::uint64_t> count(const std::string& key) {
+    return parsed(key, parse_uint);
   }
 
   std::optional<std::string> text(const std::string& key) {
@@ -62,6 +62,19 @@ class FieldReader {
   [[nodiscard]] bool exhausted() const { return consumed_ == fields_.size(); }
 
  private:
+  template <typename T>
+  std::optional<T> parsed(const std::string& key,
+                          T (*parse)(const std::string&, const std::string&)) {
+    const auto it = fields_.find(key);
+    if (it == fields_.end()) return std::nullopt;
+    ++consumed_;
+    try {
+      return parse(key, it->second);
+    } catch (const ValueError&) {
+      return std::nullopt;
+    }
+  }
+
   const std::map<std::string, std::string>& fields_;
   std::size_t consumed_{0};
 };
@@ -112,9 +125,9 @@ std::optional<Message> parse_message(const std::string& line) {
   FieldReader read{fields};
 
   if (kind == "RESV") {
-    const auto id = read.number("id");
-    const auto in = read.number("in");
-    const auto out = read.number("out");
+    const auto id = read.count("id");
+    const auto in = read.count("in");
+    const auto out = read.count("out");
     const auto ts = read.number("ts");
     const auto tf = read.number("tf");
     const auto vol = read.number("vol");
@@ -123,9 +136,9 @@ std::optional<Message> parse_message(const std::string& line) {
       return std::nullopt;
     }
     Request r;
-    r.id = static_cast<RequestId>(*id);
-    r.ingress = IngressId{static_cast<std::size_t>(*in)};
-    r.egress = EgressId{static_cast<std::size_t>(*out)};
+    r.id = *id;
+    r.ingress = IngressId{*in};
+    r.egress = EgressId{*out};
     r.release = TimePoint::at_seconds(*ts);
     r.deadline = TimePoint::at_seconds(*tf);
     r.volume = Volume::bytes(*vol);
@@ -134,27 +147,27 @@ std::optional<Message> parse_message(const std::string& line) {
     return Message{ResvMessage{r}};
   }
   if (kind == "GRANT") {
-    const auto id = read.number("id");
+    const auto id = read.count("id");
     const auto start = read.number("start");
     const auto bw = read.number("bw");
     if (!id || !start || !bw || !read.exhausted()) return std::nullopt;
-    return Message{GrantMessage{static_cast<RequestId>(*id),
+    return Message{GrantMessage{*id,
                                 TimePoint::at_seconds(*start),
                                 Bandwidth::bytes_per_second(*bw)}};
   }
   if (kind == "REJECT") {
-    const auto id = read.number("id");
+    const auto id = read.count("id");
     const auto reason = read.text("reason");
     if (!id || !reason || !read.exhausted()) return std::nullopt;
-    return Message{RejectMessage{static_cast<RequestId>(*id), *reason}};
+    return Message{RejectMessage{*id, *reason}};
   }
   if (kind == "TEAR") {
-    const auto id = read.number("id");
-    const auto egress = read.number("egress");
+    const auto id = read.count("id");
+    const auto egress = read.count("egress");
     const auto bw = read.number("bw");
     if (!id || !egress || !bw || !read.exhausted()) return std::nullopt;
-    return Message{TearMessage{static_cast<RequestId>(*id),
-                               EgressId{static_cast<std::size_t>(*egress)},
+    return Message{TearMessage{*id,
+                               EgressId{*egress},
                                Bandwidth::bytes_per_second(*bw)}};
   }
   return std::nullopt;

@@ -58,7 +58,8 @@ using Message = std::variant<ResvMessage, GrantMessage, RejectMessage, TearMessa
 [[nodiscard]] std::string serialize(const Message& message);
 
 /// Parses a wire line. Returns nullopt on any malformed input (unknown
-/// kind, missing/duplicate/unknown fields, non-numeric values).
+/// kind, missing/duplicate/unknown fields, an id or port that is not a
+/// whole non-negative integer, a number that is not finite).
 [[nodiscard]] std::optional<Message> parse_message(const std::string& line);
 
 }  // namespace gridbw::control

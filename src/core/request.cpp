@@ -8,7 +8,10 @@
 namespace gridbw {
 
 bool Request::is_well_formed() const {
-  if (!(deadline > release)) return false;
+  // A non-finite endpoint, window or volume makes min_rate 0 or NaN (a
+  // rate-0 grant, or CUMULATED's 0/0 cost).
+  if (!release.is_finite() || !deadline.is_finite() || !volume.is_finite()) return false;
+  if (!(deadline > release) || !(deadline - release).is_finite()) return false;
   if (!volume.is_positive()) return false;
   if (!max_rate.is_positive() || !max_rate.is_finite()) return false;
   // MaxRate must allow completion within the window (MinRate <= MaxRate).

@@ -53,8 +53,9 @@ struct Request {
     return approx_le(max_rate, min_rate());  // min_rate <= max_rate always holds
   }
 
-  /// A request is well-formed when the window is positive, the volume is
-  /// positive, and MaxRate is high enough to finish inside the window.
+  /// A request is well-formed when its release, deadline, window and volume
+  /// are finite, the window and the volume are positive, and MaxRate is
+  /// finite and high enough to finish inside the window.
   [[nodiscard]] bool is_well_formed() const;
 
   /// Diagnostic rendering ("r42: in3->out7 [10s,110s] 500 GB <= 1.0 GB/s").

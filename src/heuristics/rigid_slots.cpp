@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <stdexcept>
 #include <utility>
@@ -368,51 +369,67 @@ ScheduleResult sweep_incremental(const Network& network,
   return assemble(requests, s.alive, observer);
 }
 
-/// Per-sweep scratch for the CUMULATED kernel, sized once before the sweep
+/// The suffix filter's division-free test: a member is provably cheaper than
+/// lead when fl(ratio * win) < fl(fl(c_lead * kCheaperScale) * d), where
+/// d = fl(t2 - rel) is the same double the exact cost fl(ratio / fl(d / win))
+/// uses. Each of the six roundings (kCheaperScale's own included) errs by at
+/// most u = 2^-53 relative while its result is normal, so a pass gives
+///   cost < c_lead * (1 - 1e-9) * (1 + u)^4 / (1 - u)^2 < c_lead * (1 - 1e-9 + 7e-16):
+/// strictly cheaper, whatever the ids. A product that overflows to +inf only
+/// widens the real gap; a NaN fails the test and the exact test decides.
+constexpr double kCheaperScale = 1.0 - 1e-9;
+
+/// ratio * win, the member's side of the test, or NaN unless ratio, win and
+/// the first slice length d0 lie in [1e-75, 1e75]. Then d in [d0, win] keeps
+/// d / win, the cost and ratio * win normal; a product able to pass exceeds
+/// 1e-150, so c_lead * kCheaperScale is normal too; and a NaN, zero or +inf
+/// c_lead fails, fails or rightly passes every member.
+double fast_key(double ratio, double win, double d0) {
+  const auto normal = [](double x) { return x >= 1e-75 && x <= 1e75; };
+  if (normal(ratio) && normal(win) && normal(d0)) return ratio * win;
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+/// Per-sweep state for the CUMULATED kernel, sized once before the sweep
 /// loop and reused every slice — the sweep body is `gridbw:hot`, which bans
-/// stray allocation, and all the per-slice buffers below have capacity for
-/// the full request set so refills never grow them.
-///
-/// Request-indexed arrays are SoA mirrors of the fields the inner loops
-/// touch; the g_* arrays are gather buffers laid out in active-set order so
-/// the per-slice cost refresh runs over contiguous doubles and
-/// auto-vectorizes instead of chasing Request structs.
+/// stray allocation, so every buffer has capacity for the full request set.
 struct CumulatedArena {
-  // Indexed by request k. rate/ratio/rel/win reproduce slot_cost's inputs
-  // bit-for-bit: cost = ratio / ((t2 - rel) / win), the exact operation
-  // sequence slot_cost performs, so the sort order matches the oracle's.
+  // Indexed by request k. ratio/win (with the member's rel) reproduce
+  // slot_cost's inputs bit-for-bit: cost = ratio / ((t2 - rel) / win), the
+  // exact operation sequence slot_cost performs.
   std::vector<double> rate;      // min_rate, bytes/s
   std::vector<double> ratio;     // min_rate / bottleneck (cost numerator)
-  std::vector<double> rel;       // release, seconds
   std::vector<double> win;       // deadline - release, seconds
   std::vector<double> cost;      // current-slice cost (comparator input)
   std::vector<char> feasible;    // min_rate <= max_rate (approx_le)
   std::vector<std::uint32_t> iport;
   std::vector<std::uint32_t> eport;
   std::vector<double> held;      // admitted bandwidth, 0 = not admitted
+  std::vector<std::size_t> pos;  // slot in the active set, kNone = not a member
   // Indexed by port: raw-double CounterLedger with the approx_le threshold
   // precomputed (cap + 1.0 + 1e-9*|cap|, the exact approx_le expression).
   std::vector<double> load_in, load_out;
   std::vector<double> limit_in, limit_out;
-  // Active-set-order gather buffers for the vectorized cost refresh.
-  std::vector<double> g_rel, g_win, g_ratio, g_cost;
+  // The active set, dense and unordered (swap-remove), as parallel arrays
+  // for the suffix filter: request k, its release, and its fast_key.
+  std::vector<std::size_t> member;
+  std::vector<double> member_rel, member_key;
 };
 
-/// CUMULATED-SLOTS incremental kernel (the ISSUE 6 tentpole). The cost
-/// factor is slice-dependent, so a newcomer slice must refresh every active
-/// cost and re-sort — but the two sweep invariants (see sweep_incremental)
-/// still hold, and they carry all the savings:
+/// CUMULATED-SLOTS incremental kernel. The cost is slice-dependent, but the
+/// two sweep invariants (see sweep_incremental) hold, so a slice costs what
+/// changed:
 ///
-///  * pure-departure slices apply their drops and stop: the surviving set
-///    is jointly feasible and re-admits fully under any order, so the
-///    replay would be a no-op — skip it entirely;
-///  * newcomer slices replay only from the first newcomer's position in
-///    the freshly sorted order: the prefix holds only currently-admitted
-///    members (in some permutation of the old order, which cannot change a
-///    jointly feasible set's decisions), so its admissions stand;
-///  * the cost refresh gathers into contiguous arrays and runs one
-///    division loop the compiler vectorizes, and admission runs on raw
-///    double port loads against precomputed approx_le thresholds.
+///  * departures pop off a deadline heap and leave the dense active set by
+///    swap-remove, as does a retro-removed request (it holds nothing); a
+///    pure-departure slice stops there;
+///  * a newcomer slice replays only the members at and after its cheapest
+///    newcomer (`lead`) in (cost, id) order: the cheaper ones are admitted
+///    and stand. One pass finds the suffix: a multiply-and-compare
+///    (kCheaperScale) proves most members cheaper, and only the rest get the
+///    exact cost and comparison;
+///  * admission runs on raw double port loads against precomputed approx_le
+///    thresholds.
 // gridbw:hot
 ScheduleResult sweep_cumulated(const Network& network,
                                std::span<const Request> requests, SweepSetup& s,
@@ -422,19 +439,18 @@ ScheduleResult sweep_cumulated(const Network& network,
   CumulatedArena a;
   a.rate.assign(n, 0.0);
   a.ratio.assign(n, 0.0);
-  a.rel.assign(n, 0.0);
   a.win.assign(n, 0.0);
   a.cost.assign(n, 0.0);
   a.feasible.assign(n, 0);
   a.iport.assign(n, 0);
   a.eport.assign(n, 0);
   a.held.assign(n, 0.0);
+  a.pos.assign(n, kNone);
   for (std::size_t k = 0; k < n; ++k) {
     if (!s.alive[k]) continue;
     const Request& r = requests[k];
     a.rate[k] = r.min_rate().to_bytes_per_second();
     a.ratio[k] = r.min_rate() / network.bottleneck(r.ingress, r.egress);
-    a.rel[k] = r.release.to_seconds();
     a.win[k] = (r.deadline - r.release).to_seconds();
     a.feasible[k] = approx_le(r.min_rate(), r.max_rate) ? 1 : 0;
     a.iport[k] = static_cast<std::uint32_t>(r.ingress.value);
@@ -452,10 +468,9 @@ ScheduleResult sweep_cumulated(const Network& network,
     const double cap = network.egress_capacity(EgressId{p}).to_bytes_per_second();
     a.limit_out[p] = cap + 1.0 + 1e-9 * std::fabs(cap);
   }
-  a.g_rel.reserve(n);
-  a.g_win.reserve(n);
-  a.g_ratio.reserve(n);
-  a.g_cost.reserve(n);
+  a.member.reserve(n);
+  a.member_rel.reserve(n);
+  a.member_key.reserve(n);
 
   // Mirrors CounterLedger::reclaim's clamp: FP noise may dip a counter a
   // hair below zero; anything past the admission tolerance is a bug.
@@ -471,16 +486,27 @@ ScheduleResult sweep_cumulated(const Network& network,
     if (a.load_in[ip] < 0.0) a.load_in[ip] = 0.0;
     if (a.load_out[ep] < 0.0) a.load_out[ep] = 0.0;
   };
+  const auto leave = [&a](std::size_t k) {
+    const std::size_t i = a.pos[k];
+    a.member[i] = a.member.back();
+    a.member_rel[i] = a.member_rel.back();
+    a.member_key[i] = a.member_key.back();
+    a.pos[a.member[i]] = i;
+    a.pos[k] = kNone;
+    a.member.pop_back();
+    a.member_rel.pop_back();
+    a.member_key.pop_back();
+  };
   const auto by_cost = [&](std::size_t x, std::size_t y) {
     if (a.cost[x] != a.cost[y]) return a.cost[x] < a.cost[y];
     return requests[x].id < requests[y].id;
   };
 
   std::vector<TimePoint> removed_at = make_removal_clock(requests, observer);
-  std::vector<std::size_t> order;  // active set, sorted by (cost, id)
-  order.reserve(n);
   std::vector<std::size_t> newcomers;
   newcomers.reserve(n);
+  std::vector<std::size_t> suffix;  // replayed members, sorted by (cost, id)
+  suffix.reserve(n);
   std::priority_queue<std::pair<double, std::size_t>,
                       std::vector<std::pair<double, std::size_t>>, std::greater<>>
       departures;
@@ -490,86 +516,57 @@ ScheduleResult sweep_cumulated(const Network& network,
 
   for (std::size_t b = 0; b + 1 < s.boundaries.size(); ++b) {
     const TimePoint t1 = s.boundaries[b];
-    const TimePoint t2 = s.boundaries[b + 1];
+    const double t2s = s.boundaries[b + 1].to_seconds();
     if (telemetry != nullptr) ++telemetry->slices;
 
     newcomers.clear();
     while (next_release < s.by_release.size() &&
            requests[s.by_release[next_release]].release <= t1) {
       const std::size_t k = s.by_release[next_release++];
-      if (s.alive[k] && requests[k].deadline >= t2) newcomers.push_back(k);
+      if (s.alive[k] && requests[k].deadline.to_seconds() >= t2s) newcomers.push_back(k);
     }
 
-    const bool departures_due =
-        !departures.empty() && departures.top().first < t2.to_seconds();
+    const bool departures_due = !departures.empty() && departures.top().first < t2s;
     if (newcomers.empty() && !departures_due && !dirty) {
       if (telemetry != nullptr) ++telemetry->skipped_slices;
       continue;
     }
     dirty = false;
-    while (!departures.empty() && departures.top().first < t2.to_seconds()) {
+    while (!departures.empty() && departures.top().first < t2s) {
+      const std::size_t k = departures.top().second;
       departures.pop();
+      if (a.pos[k] == kNone) continue;  // retro-removed: already left
+      drop_held(k);
+      leave(k);
     }
-
-    // Apply departure/retro-removal deltas and compact the active set.
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < order.size(); ++read) {
-      const std::size_t k = order[read];
-      if (!s.alive[k] || !(requests[k].deadline >= t2)) {
-        drop_held(k);
-        continue;
-      }
-      order[write++] = k;
-    }
-    order.resize(write);
 
     if (newcomers.empty()) continue;  // pure departures: decisions stand
 
-    for (std::size_t k : newcomers) {
-      departures.emplace(requests[k].deadline.to_seconds(), k);
-    }
-    order.insert(order.end(), newcomers.begin(), newcomers.end());
-
-    // Vectorized cost refresh: gather the slice-invariant factors into
-    // contiguous buffers, run one division loop over them, scatter back for
-    // the comparator. Bit-identical to calling slot_cost per request.
-    const std::size_t m = order.size();
-    a.g_rel.resize(m);
-    a.g_win.resize(m);
-    a.g_ratio.resize(m);
-    a.g_cost.resize(m);
-    for (std::size_t idx = 0; idx < m; ++idx) {
-      const std::size_t k = order[idx];
-      a.g_rel[idx] = a.rel[k];
-      a.g_win[idx] = a.win[k];
-      a.g_ratio[idx] = a.ratio[k];
-    }
-    const double t2s = t2.to_seconds();
-    for (std::size_t idx = 0; idx < m; ++idx) {
-      a.g_cost[idx] = a.g_ratio[idx] / ((t2s - a.g_rel[idx]) / a.g_win[idx]);
-    }
-    for (std::size_t idx = 0; idx < m; ++idx) a.cost[order[idx]] = a.g_cost[idx];
-
-    // Replay starts at the cheapest newcomer (`lead`). Everything cheaper
-    // than it is an already-admitted old member whose admission stands, and
-    // whose internal order is irrelevant (it is never replayed) — so an
-    // O(m) partition replaces the full sort, and only the replayed suffix
-    // is sorted. Identical decisions to sorting everything: the suffix is
-    // exactly the tail a full sort would put at and after lead's position.
     std::size_t lead = newcomers.front();
-    for (std::size_t idx = 1; idx < newcomers.size(); ++idx) {
-      if (by_cost(newcomers[idx], lead)) lead = newcomers[idx];
+    for (const std::size_t k : newcomers) {
+      departures.emplace(requests[k].deadline.to_seconds(), k);
+      const double rel = requests[k].release.to_seconds();
+      a.pos[k] = a.member.size();
+      a.member.push_back(k);
+      a.member_rel.push_back(rel);
+      a.member_key.push_back(fast_key(a.ratio[k], a.win[k], t2s - rel));
+      a.cost[k] = a.ratio[k] / ((t2s - rel) / a.win[k]);
+      if (by_cost(k, lead)) lead = k;
     }
-    const auto suffix_begin =
-        std::partition(order.begin(), order.end(),
-                       [&](std::size_t k) { return by_cost(k, lead); });
-    std::sort(suffix_begin, order.end(), by_cost);
-    const auto first_change =
-        static_cast<std::size_t>(suffix_begin - order.begin());
 
-    for (std::size_t idx = first_change; idx < m; ++idx) drop_held(order[idx]);
-    for (std::size_t idx = first_change; idx < m; ++idx) {
-      const std::size_t k = order[idx];
+    // Suffix filter: the members at and after lead in (cost, id) order.
+    const double bound = a.cost[lead] * kCheaperScale;
+    suffix.clear();
+    for (std::size_t i = 0; i < a.member.size(); ++i) {
+      if (a.member_key[i] < bound * (t2s - a.member_rel[i])) continue;
+      const std::size_t k = a.member[i];
+      a.cost[k] = a.ratio[k] / ((t2s - a.member_rel[i]) / a.win[k]);
+      if (!by_cost(k, lead)) suffix.push_back(k);
+    }
+    std::sort(suffix.begin(), suffix.end(), by_cost);
+
+    for (const std::size_t k : suffix) drop_held(k);
+    for (const std::size_t k : suffix) {
       if (a.feasible[k]) {
         // admission_checks counts ledger probes only (same contract as the
         // other engines).
@@ -587,6 +584,7 @@ ScheduleResult sweep_cumulated(const Network& network,
       }
       s.alive[k] = 0;  // retro-removal, permanent
       dirty = true;
+      leave(k);
       if (observer != nullptr) removed_at[k] = t1;
     }
   }
@@ -652,7 +650,7 @@ ScheduleResult schedule_rigid_slots(const Network& network,
     case SlotsEngine::kRebuild:
       return sweep_rebuild(network, requests, cost, setup, telemetry, observer);
     case SlotsEngine::kIncremental:
-      // CUMULATED's slice-dependent cost gets its own batched kernel; the
+      // CUMULATED's slice-dependent cost gets its own kernel; the
       // static-cost kernels share the ordered-merge engine.
       if (cost == SlotCost::kCumulated) {
         return sweep_cumulated(network, requests, setup, telemetry, observer);

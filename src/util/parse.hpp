@@ -29,6 +29,10 @@ class ValueError : public std::runtime_error {
 
 [[nodiscard]] std::int64_t parse_int(const std::string& key, const std::string& value);
 
+/// A non-negative integer over the full 64-bit range (ids, port indices):
+/// a sign, including "-0", is malformed.
+[[nodiscard]] std::uint64_t parse_uint(const std::string& key, const std::string& value);
+
 /// Rejects non-finite results as well as malformed text.
 [[nodiscard]] double parse_double(const std::string& key, const std::string& value);
 

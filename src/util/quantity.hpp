@@ -127,6 +127,7 @@ class Volume {
   [[nodiscard]] constexpr double to_gigabytes() const { return bytes_ / 1e9; }
   [[nodiscard]] constexpr double to_terabytes() const { return bytes_ / 1e12; }
   [[nodiscard]] constexpr bool is_positive() const { return bytes_ > 0.0; }
+  [[nodiscard]] constexpr bool is_finite() const { return std::isfinite(bytes_); }
 
   constexpr Volume& operator+=(Volume other) { bytes_ += other.bytes_; return *this; }
   constexpr Volume& operator-=(Volume other) { bytes_ -= other.bytes_; return *this; }

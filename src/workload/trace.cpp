@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/parse.hpp"
+
 namespace gridbw::workload {
 namespace {
 
@@ -58,14 +60,16 @@ std::vector<Request> read_trace(std::istream& is) {
                                ": expected 7 fields, got " + std::to_string(cells.size())};
     }
     try {
+      // Strict: whole-cell integers and finite numbers only; the error
+      // names the column.
       Request r;
-      r.id = static_cast<RequestId>(std::stoull(cells[0]));
-      r.ingress = IngressId{static_cast<std::size_t>(std::stoull(cells[1]))};
-      r.egress = EgressId{static_cast<std::size_t>(std::stoull(cells[2]))};
-      r.release = TimePoint::at_seconds(std::stod(cells[3]));
-      r.deadline = TimePoint::at_seconds(std::stod(cells[4]));
-      r.volume = Volume::bytes(std::stod(cells[5]));
-      r.max_rate = Bandwidth::bytes_per_second(std::stod(cells[6]));
+      r.id = parse_uint("id", cells[0]);
+      r.ingress = IngressId{parse_uint("ingress", cells[1])};
+      r.egress = EgressId{parse_uint("egress", cells[2])};
+      r.release = TimePoint::at_seconds(parse_double("release_s", cells[3]));
+      r.deadline = TimePoint::at_seconds(parse_double("deadline_s", cells[4]));
+      r.volume = Volume::bytes(parse_double("volume_bytes", cells[5]));
+      r.max_rate = Bandwidth::bytes_per_second(parse_double("max_rate_bps", cells[6]));
       if (!r.is_well_formed()) {
         throw std::runtime_error{"ill-formed request " + r.describe()};
       }

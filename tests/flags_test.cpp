@@ -99,6 +99,14 @@ TEST(Flags, RejectsTrailingJunkAndNonFiniteValues) {
   }
 }
 
+TEST(ParseUint, FullRangeAndNoSign) {
+  EXPECT_EQ(parse_uint("id", "0"), 0u);
+  EXPECT_EQ(parse_uint("id", "18446744073709551615"), 18446744073709551615ULL);
+  for (const char* bad : {"-1", "-0", "+1", "18446744073709551616", "1e3", "2.0", " 1", ""}) {
+    EXPECT_THROW((void)parse_uint("id", bad), ValueError) << bad;
+  }
+}
+
 TEST(Flags, LastValueWins) {
   const Flags f = parse({"--x=1", "--x=2"});
   EXPECT_EQ(f.get_int("x", 0), 2);

@@ -11,16 +11,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <span>
+#include <string>
+#include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "heuristics/flexible_window.hpp"
 #include "heuristics/malleable.hpp"
 #include "heuristics/rigid_slots.hpp"
+#include "obs/observer.hpp"
 #include "support/window_scan.hpp"
 #include "workload/generator.hpp"
+#include "workload/load.hpp"
 #include "workload/scenario.hpp"
 
 namespace gridbw {
@@ -149,6 +156,245 @@ TEST(AdmissionChecksContract, CountsLedgerProbesOnlyInEveryEngine) {
       EXPECT_EQ(result.rejected.size(), 1u);
       EXPECT_EQ(result.schedule.assignments().size(), 3u);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CUMULATED kernel: the suffix filter, same-instant batches, heap departures
+// and retro-removals, each against the rebuild oracle.
+// ---------------------------------------------------------------------------
+
+/// Records when each preemption (retro-removal of a request that held
+/// bandwidth in an earlier slice) happened.
+class PreemptionClock : public obs::TraceSink {
+ public:
+  void record(const obs::AdmissionEvent& event) override {
+    if (event.kind == obs::EventKind::kPreempted) at.push_back(event.when.to_seconds());
+  }
+  void annotate(std::string_view, std::string_view) override {}
+  std::vector<double> at;
+};
+
+struct CumulatedRun {
+  ScheduleResult result;
+  heuristics::SlotsTelemetry tm;
+  std::vector<double> preempted_at;
+};
+
+CumulatedRun run_cumulated(const Network& net, std::span<const Request> requests,
+                           heuristics::SlotsEngine engine) {
+  PreemptionClock clock;
+  obs::Observer observer{&clock, nullptr};
+  CumulatedRun run;
+  run.result = heuristics::schedule_rigid_slots(
+      net, requests, heuristics::SlotCost::kCumulated, engine, &run.tm, &observer);
+  run.preempted_at = std::move(clock.at);
+  std::sort(run.preempted_at.begin(), run.preempted_at.end());
+  return run;
+}
+
+/// Runs CUMULATED under both engines and requires the same schedule, the
+/// same preemptions (when and how many), the same slice count and no more
+/// admission work in the incremental kernel. Returns the incremental run.
+CumulatedRun expect_cumulated_engines_agree(const Network& net,
+                                            std::span<const Request> requests,
+                                            const std::string& what) {
+  const CumulatedRun reference =
+      run_cumulated(net, requests, heuristics::SlotsEngine::kRebuild);
+  CumulatedRun fast = run_cumulated(net, requests, heuristics::SlotsEngine::kIncremental);
+  EXPECT_EQ(fingerprint(reference.result), fingerprint(fast.result)) << what;
+  EXPECT_EQ(reference.preempted_at, fast.preempted_at) << what;
+  EXPECT_EQ(reference.tm.slices, fast.tm.slices) << what;
+  EXPECT_LE(fast.tm.admission_checks, reference.tm.admission_checks) << what;
+  return fast;
+}
+
+Request uncapped(RequestId id, std::size_t port, double release, double deadline,
+                 double volume_bytes) {
+  Request r;
+  r.id = id;
+  r.ingress = IngressId{port};
+  r.egress = EgressId{port};
+  r.release = TimePoint::at_seconds(release);
+  r.deadline = TimePoint::at_seconds(deadline);
+  r.volume = Volume::bytes(volume_bytes);
+  r.max_rate = Bandwidth::gigabytes_per_second(1000);
+  return r;
+}
+
+bool accepted(const ScheduleResult& result, RequestId id) {
+  for (const Assignment& a : result.schedule.assignments()) {
+    if (a.request == id) return true;
+  }
+  return false;
+}
+
+/// A contest on one port pair per case j, each in its own slice
+/// [10j + 1, 10j + 2): an admitted member `m` (released at 10j, window 2w)
+/// meets a newcomer `n` (released at 10j + 1, window w), the slice's only
+/// newcomer and so its lead, and the port fits only one of them. Both
+/// costs are ratio / fl(1 / w), so with volume(m) = 2 * volume(n) they tie
+/// bit for bit; `m_scale` moves m's cost off the tie. A dummy request on
+/// the last port puts a boundary at 10j + 2.
+struct Contest {
+  Request m, n;
+};
+
+struct Contests {
+  Network net;
+  std::vector<Request> requests;  // every m and n, and the dummies
+  std::vector<Contest> cases;
+
+  /// The CUMULATED costs of m and n on the contest slice.
+  [[nodiscard]] std::pair<double, double> costs(const Contest& c) const {
+    const TimePoint t1 = c.n.release;
+    const TimePoint t2 = TimePoint::at_seconds(t1.to_seconds() + 1.0);
+    const auto cost = heuristics::SlotCost::kCumulated;
+    return {heuristics::slot_cost(net, c.m, cost, t1, t2),
+            heuristics::slot_cost(net, c.n, cost, t1, t2)};
+  }
+};
+
+Contests make_contests(std::span<const double> m_scale) {
+  constexpr double kWindows[] = {100.0, 37.0, 3.0, 1000.0, 7.5};
+  // Per scale: each window, each id order.
+  constexpr std::size_t kPerScale = 2 * std::size(kWindows);
+  const std::size_t count = m_scale.size() * kPerScale;
+  Contests out{Network::uniform(count + 1, count + 1, Bandwidth::megabytes_per_second(100)),
+               {}, {}};
+  for (std::size_t j = 0; j < count; ++j) {
+    const double base = 10.0 * static_cast<double>(j);
+    const double w = kWindows[j / 2 % std::size(kWindows)];
+    const double rate = (60.0 + static_cast<double>(j % 39)) * 1e6;  // > half the port
+    const bool newcomer_first = j % 2 == 0;  // n gets the smaller id
+    const RequestId n_id = 2 * j + (newcomer_first ? 0 : 1);
+    const RequestId m_id = 2 * j + (newcomer_first ? 1 : 0);
+    const Contest c{
+        uncapped(m_id, j, base, base + 2.0 * w, 2.0 * rate * w * m_scale[j / kPerScale]),
+        uncapped(n_id, j, base + 1.0, base + 1.0 + w, rate * w)};
+    out.requests.push_back(c.m);
+    out.requests.push_back(c.n);
+    out.requests.push_back(uncapped(1'000'000 + j, count, base + 2.0, base + 3.0, 1e6));
+    out.cases.push_back(c);
+  }
+  return out;
+}
+
+/// The member wins its contest iff it sorts before the newcomer by
+/// (cost, id) on the contest slice.
+void expect_contests_decided_by_cost_then_id(const Contests& contests,
+                                             const ScheduleResult& result) {
+  for (std::size_t j = 0; j < contests.cases.size(); ++j) {
+    const Contest& c = contests.cases[j];
+    const auto [cm, cn] = contests.costs(c);
+    const bool member_first = cm < cn || (cm == cn && c.m.id < c.n.id);
+    EXPECT_EQ(accepted(result, c.m.id), member_first) << "contest " << j;
+    EXPECT_EQ(accepted(result, c.n.id), !member_first) << "contest " << j;
+  }
+}
+
+TEST(CumulatedKernel, ExactCostTiesAtLeadAreBrokenById) {
+  const std::vector<double> scale(6, 1.0);
+  const Contests contests = make_contests(scale);
+  for (const Contest& c : contests.cases) {
+    const auto [cm, cn] = contests.costs(c);
+    ASSERT_EQ(cm, cn);
+  }
+  const CumulatedRun run =
+      expect_cumulated_engines_agree(contests.net, contests.requests, "exact ties");
+  expect_contests_decided_by_cost_then_id(contests, run.result);
+  // Every member that lost had held its port since its release.
+  EXPECT_EQ(run.preempted_at.size(), contests.cases.size() / 2);
+}
+
+TEST(CumulatedKernel, CostsWithin1e9OfLeadAreDecidedExactly) {
+  // Relative offsets inside and just outside the fast test's 1e-9 margin,
+  // and single-ulp steps around the exact tie.
+  std::vector<double> scale;
+  for (const double d : {1.5e-9, 1.0e-9, 9e-10, 5e-10, 1e-10, 1e-12, 1e-15}) {
+    scale.push_back(1.0 - d);
+    scale.push_back(1.0 + d);
+  }
+  double up = 1.0, down = 1.0;
+  for (int step = 0; step < 8; ++step) {
+    up = std::nextafter(up, 2.0);
+    down = std::nextafter(down, 0.0);
+    scale.push_back(up);
+    scale.push_back(down);
+  }
+  const Contests contests = make_contests(scale);
+  const CumulatedRun run =
+      expect_cumulated_engines_agree(contests.net, contests.requests, "near ties");
+  expect_contests_decided_by_cost_then_id(contests, run.result);
+}
+
+/// Requests on a coarse time grid: `instants` release times `spacing` apart,
+/// `batch` requests each, integer windows in [1, max_window], rates
+/// 5-60 % of a 100 MB/s port on a ports x ports fabric.
+std::vector<Request> grid_workload(std::uint64_t seed, std::size_t ports,
+                                   std::size_t instants, double spacing,
+                                   std::size_t batch, std::int64_t max_window) {
+  Rng rng{seed};
+  std::vector<Request> requests;
+  for (std::size_t i = 0; i < instants; ++i) {
+    for (std::size_t b = 0; b < batch; ++b) {
+      Request r;
+      r.id = requests.size();
+      r.ingress = IngressId{static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(ports) - 1))};
+      r.egress = EgressId{static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(ports) - 1))};
+      r.release = TimePoint::at_seconds(spacing * static_cast<double>(i));
+      const auto window = static_cast<double>(rng.uniform_int(1, max_window));
+      r.deadline = r.release + Duration::seconds(window);
+      r.volume = Volume::bytes(rng.uniform(5e6, 60e6) * window);
+      r.max_rate = Bandwidth::gigabytes_per_second(1000);
+      requests.push_back(r);
+    }
+  }
+  return requests;
+}
+
+TEST(CumulatedKernel, SameInstantBatchesOfManyNewcomers) {
+  const Network net = Network::uniform(3, 3, Bandwidth::megabytes_per_second(100));
+  for (const std::uint64_t seed : kSeeds) {
+    const auto requests = grid_workload(seed, 3, 25, 7.0, 40, 60);
+    const CumulatedRun run = expect_cumulated_engines_agree(
+        net, requests, "batches seed=" + std::to_string(seed));
+    EXPECT_FALSE(run.result.rejected.empty());
+    EXPECT_FALSE(run.preempted_at.empty());
+  }
+}
+
+TEST(CumulatedKernel, DeparturesAndRetroRemovalsAtOneBoundary) {
+  // Integer releases and windows of 1-6 s: most boundaries are at once a
+  // deadline (a heap departure), a release, and a preemption instant.
+  const Network net = Network::uniform(2, 2, Bandwidth::megabytes_per_second(100));
+  std::size_t shared_boundaries = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto requests = grid_workload(seed, 2, 40, 1.0, 4, 6);
+    const CumulatedRun run = expect_cumulated_engines_agree(
+        net, requests, "boundaries seed=" + std::to_string(seed));
+    for (const double t : run.preempted_at) {
+      const bool departure = std::any_of(requests.begin(), requests.end(), [&](const Request& r) {
+        return r.deadline.to_seconds() == t;
+      });
+      if (departure) ++shared_boundaries;
+    }
+  }
+  EXPECT_GT(shared_boundaries, 0u);
+}
+
+TEST(CumulatedKernel, MatchesRebuildOnA20kPaperWorkloadAtLoad3) {
+  for (const std::uint64_t seed : kSeeds) {
+    workload::Scenario s =
+        workload::paper_rigid(Duration::seconds(1), Duration::seconds(1));
+    s.spec.mean_interarrival = workload::interarrival_for_load(s.spec, s.network, 3.0);
+    s.spec.horizon = s.spec.mean_interarrival * 20000.0;
+    Rng rng{seed};
+    const auto requests = workload::generate(s.spec, rng);
+    ASSERT_GT(requests.size(), 19000u);
+    const CumulatedRun run = expect_cumulated_engines_agree(
+        s.network, requests, "paper_rigid 20k seed=" + std::to_string(seed));
+    EXPECT_FALSE(run.preempted_at.empty());
   }
 }
 

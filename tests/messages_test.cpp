@@ -78,6 +78,56 @@ TEST(Messages, RejectsNonNumericValues) {
   EXPECT_FALSE(parse_message("GRANT|id=5|start=2x|bw=1").has_value());
 }
 
+TEST(Messages, IdsAndPortsAreWholeNonNegativeIntegers) {
+  // Once read through a double and cast: UB for 1e300, -1 and nan, and a
+  // silent truncation for 5.5.
+  for (const char* id : {"1e300", "-1", "nan", "5.5", "1e3", "-0", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_message(std::string{"GRANT|id="} + id + "|start=2|bw=1").has_value())
+        << id;
+    EXPECT_FALSE(parse_message(std::string{"REJECT|id="} + id + "|reason=x").has_value())
+        << id;
+  }
+  for (const char* port : {"-1", "nan", "1e300", "2.5"}) {
+    const std::string p{port};
+    EXPECT_FALSE(
+        parse_message("RESV|id=1|in=" + p + "|out=0|ts=0|tf=10|vol=1e9|max=1e9")
+            .has_value())
+        << port;
+    EXPECT_FALSE(
+        parse_message("RESV|id=1|in=0|out=" + p + "|ts=0|tf=10|vol=1e9|max=1e9")
+            .has_value())
+        << port;
+    EXPECT_FALSE(parse_message("TEAR|id=1|egress=" + p + "|bw=1").has_value()) << port;
+  }
+}
+
+TEST(Messages, IdsAbove2To53RoundTrip) {
+  for (const RequestId id : {RequestId{9007199254740993ULL},  // 2^53 + 1
+                             RequestId{18446744073709551615ULL}}) {
+    const Message grant{GrantMessage{id, TimePoint::at_seconds(1),
+                                     Bandwidth::bytes_per_second(5)}};
+    const auto parsed = parse_message(serialize(grant));
+    ASSERT_TRUE(parsed.has_value()) << id;
+    EXPECT_EQ(std::get<GrantMessage>(*parsed).id, id);
+
+    Request r = sample_request();
+    r.id = id;
+    const auto resv = parse_message(serialize(Message{ResvMessage{r}}));
+    ASSERT_TRUE(resv.has_value()) << id;
+    EXPECT_EQ(std::get<ResvMessage>(*resv).request.id, id);
+  }
+}
+
+TEST(Messages, RejectsNonFiniteNumbers) {
+  EXPECT_FALSE(parse_message("GRANT|id=5|start=2|bw=inf").has_value());
+  EXPECT_FALSE(parse_message("GRANT|id=5|start=nan|bw=1").has_value());
+  EXPECT_FALSE(parse_message("TEAR|id=5|egress=1|bw=-inf").has_value());
+  EXPECT_FALSE(
+      parse_message("RESV|id=1|in=0|out=0|ts=0|tf=inf|vol=1e9|max=1e9").has_value());
+  EXPECT_FALSE(
+      parse_message("RESV|id=1|in=0|out=0|ts=-inf|tf=10|vol=1e9|max=1e9").has_value());
+}
+
 TEST(Messages, RejectsIllFormedResvPayload) {
   // deadline before release
   EXPECT_FALSE(

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "util/random.hpp"
@@ -69,6 +70,35 @@ TEST(Request, WellFormedness) {
   Request inf_rate = r;
   inf_rate.max_rate = Bandwidth::infinity();
   EXPECT_FALSE(inf_rate.is_well_formed());
+}
+
+TEST(Request, NonFiniteFieldsAreIllFormed) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Request r = sample();
+
+  Request open_deadline = r;  // min_rate 0: once admitted at rate 0
+  open_deadline.deadline = TimePoint::infinity();
+  EXPECT_FALSE(open_deadline.is_well_formed());
+
+  Request open_release = r;
+  open_release.release = TimePoint::at_seconds(-inf);
+  EXPECT_FALSE(open_release.is_well_formed());
+
+  Request nan_deadline = r;
+  nan_deadline.deadline = TimePoint::at_seconds(nan);
+  EXPECT_FALSE(nan_deadline.is_well_formed());
+
+  Request inf_volume = r;
+  inf_volume.volume = Volume::bytes(inf);
+  inf_volume.max_rate = Bandwidth::bytes_per_second(1e300);
+  EXPECT_FALSE(inf_volume.is_well_formed());
+
+  // Finite endpoints whose difference overflows.
+  Request huge_window = r;
+  huge_window.release = TimePoint::at_seconds(-1e308);
+  huge_window.deadline = TimePoint::at_seconds(1e308);
+  EXPECT_FALSE(huge_window.is_well_formed());
 }
 
 TEST(RequestBuilder, ThrowsOnIllFormed) {

@@ -2,9 +2,15 @@
 # each (a named usage error, not an abort and not a silent run).
 #
 #   cmake -DSIM=<gridbw_sim> -DDATA=<dir> -P sim_rejects_bad_trace.cmake
+#
+# With -DTRACE=<file in DATA> [-DSCHEDULER=<spec>] it checks that one trace
+# only, under that scheduler (default fcfs).
+if(NOT DEFINED SCHEDULER)
+  set(SCHEDULER fcfs)
+endif()
 function(expect_usage_error name)
   execute_process(
-    COMMAND "${SIM}" ${ARGN} --scheduler=fcfs
+    COMMAND "${SIM}" ${ARGN} --scheduler=${SCHEDULER}
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
@@ -13,6 +19,11 @@ function(expect_usage_error name)
   endif()
   message(STATUS "${name}: exit 2: ${err}")
 endfunction()
+
+if(DEFINED TRACE)
+  expect_usage_error(${TRACE} --trace-in=${DATA}/${TRACE} --ports=4)
+  return()
+endif()
 
 foreach(trace trace_malformed_row.csv trace_port_out_of_range.csv)
   expect_usage_error(${trace} --trace-in=${DATA}/${trace} --ports=4)

@@ -5,6 +5,8 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "workload/generator.hpp"
 #include "workload/load.hpp"
@@ -258,6 +260,49 @@ TEST(Trace, RejectsIllFormedRequest) {
   ss << "id,ingress,egress,release_s,deadline_s,volume_bytes,max_rate_bps\n";
   ss << "1,0,0,10.0,5.0,1000,1000\n";  // deadline before release
   EXPECT_THROW((void)read_trace(ss), std::runtime_error);
+}
+
+TEST(Trace, RejectsNonFiniteAndNegativeFieldsNamingLineAndColumn) {
+  const std::string header =
+      "id,ingress,egress,release_s,deadline_s,volume_bytes,max_rate_bps\n";
+  const std::string good = "1,0,0,0.0,100.0,1000000.0,1000000.0\n";
+  const std::pair<const char*, const char*> cases[] = {
+      {"2,0,0,0.0,inf,1000000.0,1000000.0", "deadline_s"},
+      {"2,0,0,-inf,100.0,1000000.0,1000000.0", "release_s"},
+      {"2,0,0,0.0,100.0,nan,1000000.0", "volume_bytes"},
+      {"2,-1,0,0.0,100.0,1000000.0,1000000.0", "ingress"},
+      {"2,0,-1,0.0,100.0,1000000.0,1000000.0", "egress"},
+      {"-2,0,0,0.0,100.0,1000000.0,1000000.0", "id"},
+      {"2.5,0,0,0.0,100.0,1000000.0,1000000.0", "id"},
+      {"2,0,0,0.0,100.0,1000000.0,1e400", "max_rate_bps"},
+  };
+  for (const auto& [row, column] : cases) {
+    std::stringstream ss{header + good + row + "\n"};
+    try {
+      (void)read_trace(ss);
+      ADD_FAILURE() << "accepted: " << row;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string{"'"} + column + "'"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Trace, IdsRoundTripOverTheFull64BitRange) {
+  std::vector<Request> original(1);
+  original[0].id = 18446744073709551615ULL;
+  original[0].ingress = IngressId{3};
+  original[0].egress = EgressId{4};
+  original[0].release = TimePoint::at_seconds(1);
+  original[0].deadline = TimePoint::at_seconds(11);
+  original[0].volume = Volume::bytes(1e6);
+  original[0].max_rate = Bandwidth::bytes_per_second(1e6);
+  std::stringstream ss;
+  write_trace(ss, original);
+  const auto loaded = read_trace(ss);
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded[0].id, original[0].id);
 }
 
 TEST(Scenario, PaperRigidMatchesSection43) {
