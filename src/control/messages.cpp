@@ -1,8 +1,6 @@
 #include "control/messages.hpp"
 
-#include <array>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <sstream>
 
@@ -10,12 +8,6 @@
 
 namespace gridbw::control {
 namespace {
-
-std::string num(double value) {
-  std::array<char, 48> buf{};
-  std::snprintf(buf.data(), buf.size(), "%.9g", value);
-  return std::string{buf.data()};
-}
 
 /// Splits "KIND|k=v|k=v" into the kind and a field map; nullopt on
 /// malformed or duplicate fields.
@@ -99,20 +91,20 @@ std::string serialize(const Message& message) {
           return "RESV|id=" + std::to_string(r.id) +
                  "|in=" + std::to_string(r.ingress.value) +
                  "|out=" + std::to_string(r.egress.value) +
-                 "|ts=" + num(r.release.to_seconds()) +
-                 "|tf=" + num(r.deadline.to_seconds()) +
-                 "|vol=" + num(r.volume.to_bytes()) +
-                 "|max=" + num(r.max_rate.to_bytes_per_second());
+                 "|ts=" + format_shortest(r.release.to_seconds()) +
+                 "|tf=" + format_shortest(r.deadline.to_seconds()) +
+                 "|vol=" + format_shortest(r.volume.to_bytes()) +
+                 "|max=" + format_shortest(r.max_rate.to_bytes_per_second());
         } else if constexpr (std::is_same_v<T, GrantMessage>) {
           return "GRANT|id=" + std::to_string(m.id) +
-                 "|start=" + num(m.start.to_seconds()) +
-                 "|bw=" + num(m.bw.to_bytes_per_second());
+                 "|start=" + format_shortest(m.start.to_seconds()) +
+                 "|bw=" + format_shortest(m.bw.to_bytes_per_second());
         } else if constexpr (std::is_same_v<T, RejectMessage>) {
           return "REJECT|id=" + std::to_string(m.id) + "|reason=" + m.reason;
         } else {
           return "TEAR|id=" + std::to_string(m.id) +
                  "|egress=" + std::to_string(m.egress.value) +
-                 "|bw=" + num(m.bw.to_bytes_per_second());
+                 "|bw=" + format_shortest(m.bw.to_bytes_per_second());
         }
       },
       message);

@@ -6,20 +6,6 @@
 
 namespace gridbw {
 
-namespace {
-
-/// Releases between GC retirement passes: each pass costs O(ports · log n)
-/// in watermark binary searches even when nothing folds, so the release
-/// path batches it rather than paying per departure.
-constexpr std::size_t kGcReleaseBatch = 64;
-
-/// A port folds its dead prefix only when at least this many breakpoints
-/// retire at once — and only when they make up at least half the resident
-/// set, so the O(n) fold is charged O(1) amortized per retired breakpoint.
-constexpr std::size_t kMinRetireBatch = 64;
-
-}  // namespace
-
 NetworkLedger::NetworkLedger(const Network& network)
     : network_{&network},
       ingress_(network.ingress_count()),
@@ -66,44 +52,6 @@ void NetworkLedger::release(IngressId i, EgressId e, TimePoint t0, TimePoint t1,
   ingress_.at(i.value).add(t0, t1, sub);
   egress_.at(e.value).add(t0, t1, sub);
   if (observer_ != nullptr) observer_->count(obs::Counter::kLedgerReleases);
-  // Departures drive the breakpoint GC once advance_horizon has armed it.
-  if (gc_armed_ && ++gc_release_debt_ >= kGcReleaseBatch) (void)collect_retired();
-}
-
-std::size_t NetworkLedger::advance_horizon(TimePoint horizon) {
-  if (!gc_armed_ || gc_horizon_ < horizon) gc_horizon_ = horizon;
-  gc_armed_ = true;
-  if (gc_release_debt_ < kGcReleaseBatch) return 0;
-  return collect_retired();
-}
-
-std::size_t NetworkLedger::collect_retired() {
-  if (!gc_armed_) return 0;
-  gc_release_debt_ = 0;
-  std::size_t retired = 0;
-  for (TimelineProfile& p : ingress_) retired += maybe_retire_port(p);
-  for (TimelineProfile& p : egress_) retired += maybe_retire_port(p);
-  return retired;
-}
-
-std::size_t NetworkLedger::maybe_retire_port(TimelineProfile& profile) {
-  const std::size_t retirable = profile.retirable_before(gc_horizon_);
-  if (retirable < kMinRetireBatch || retirable * 2 < profile.breakpoint_count()) {
-    return 0;
-  }
-  const std::size_t retired = profile.retire_before(gc_horizon_);
-  if (observer_ != nullptr && retired > 0) {
-    observer_->count(obs::Counter::kProfileCompactions);
-    observer_->count(obs::Counter::kBreakpointsRetired, retired);
-  }
-  return retired;
-}
-
-std::size_t NetworkLedger::resident_breakpoints() const {
-  std::size_t total = 0;
-  for (const TimelineProfile& p : ingress_) total += p.breakpoint_count();
-  for (const TimelineProfile& p : egress_) total += p.breakpoint_count();
-  return total;
 }
 
 CounterLedger::CounterLedger(const Network& network)

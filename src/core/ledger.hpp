@@ -10,7 +10,9 @@
 //    probe is the port's `max_over` scan, O(log n + window breakpoints)
 //    since the profile merges only the touched suffix (DESIGN.md §5c):
 //    the ledger keeps no per-port index beside its profiles (DESIGN.md §5g
-//    says why).
+//    says why). It keeps every breakpoint too: a batch engine's ledger
+//    lives for one run. Retiring dead breakpoints is the online
+//    AdmissionService's job (DESIGN.md §5h).
 //
 //  * CounterLedger — the paper's O(1) online book (`ali`/`ale` in
 //    Algorithms 2 and 3): one running counter per port, increased on accept
@@ -78,45 +80,11 @@ class NetworkLedger {
   /// branch per call.
   void attach_observer(obs::Observer* observer) { observer_ = observer; }
 
-  /// Steady-state churn GC (ISSUE 7): moves the retirement watermark forward
-  /// (monotonic max) and arms the release path to drive per-port breakpoint
-  /// compaction. Safe-horizon contract: the caller guarantees that no future
-  /// reserve/release touches an instant strictly before `horizon` — i.e.
-  /// horizon <= min(start of every still-live reservation) and <= now. Under
-  /// that contract every decision the ledger makes after compaction is
-  /// bit-identical to the uncompacted ledger's (TimelineProfile::
-  /// retire_before). Returns the breakpoints retired by the pass this call
-  /// ran, 0 when release-debt batching deferred it.
-  std::size_t advance_horizon(TimePoint horizon);
-
-  /// Runs the retirement pass now, regardless of accumulated release debt.
-  /// Per-port policy unchanged: a port compacts only when the retirable
-  /// prefix is both >= kMinRetireBatch and at least half its resident
-  /// breakpoints, so fold cost stays O(1) amortized per retired breakpoint.
-  std::size_t collect_retired();
-
-  /// Last watermark handed to advance_horizon (zero before the GC is armed).
-  [[nodiscard]] TimePoint gc_horizon() const { return gc_horizon_; }
-
-  /// Total resident (merged) breakpoints across every port profile — the
-  /// figure the churn bench asserts stays O(live requests) under GC.
-  [[nodiscard]] std::size_t resident_breakpoints() const;
-
  private:
-  /// One port's share of `collect_retired`: folds the dead prefix when the
-  /// amortization policy says it pays.
-  std::size_t maybe_retire_port(TimelineProfile& profile);
-
   const Network* network_;
   std::vector<TimelineProfile> ingress_;
   std::vector<TimelineProfile> egress_;
   obs::Observer* observer_{nullptr};
-  // GC state: watermark, whether advance_horizon armed the release path, and
-  // releases accumulated since the last retirement pass (batched because
-  // the pass itself is O(ports · log n) even when nothing folds).
-  TimePoint gc_horizon_{};
-  bool gc_armed_{false};
-  std::size_t gc_release_debt_{0};
 };
 
 /// The paper's online counters: ali(i), ale(e).

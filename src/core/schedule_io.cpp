@@ -12,22 +12,13 @@
 #include <unordered_map>
 
 #include "core/timeline_profile.hpp"
+#include "util/parse.hpp"
 
 namespace gridbw {
 namespace {
 
 constexpr const char* kHeader = "request,start_s,bw_bps";
 constexpr const char* kHeaderProfiled = "request,start_s,bw_bps,profile";
-
-/// Shortest round-trip decimal rendering: from_chars(to_chars(x)) == x
-/// bit-for-bit, including subnormals and extremes — the contract the
-/// schedule round-trip tests pin. (The previous fixed-precision snprintf
-/// formatting lost bits on both.)
-void append_double(std::string& out, double value) {
-  std::array<char, 32> buf{};
-  const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), value);
-  out.append(buf.data(), res.ptr);
-}
 
 /// Parses a complete cell as a double; rejects trailing garbage, empty
 /// cells, and hex/inf/nan spellings to_chars never emits.
@@ -46,13 +37,13 @@ double parse_double(std::string_view cell, const char* what, std::size_t line_no
 /// (e.g. "0@5e+07;10@1e+08;$20"). An empty cell means a constant row.
 void append_profile(std::string& out, const RateProfile& profile) {
   for (const RateStep& s : profile.steps()) {
-    append_double(out, s.from.to_seconds());
+    out += format_shortest(s.from.to_seconds());
     out.push_back('@');
-    append_double(out, s.rate.to_bytes_per_second());
+    out += format_shortest(s.rate.to_bytes_per_second());
     out.push_back(';');
   }
   out.push_back('$');
-  append_double(out, profile.end().to_seconds());
+  out += format_shortest(profile.end().to_seconds());
 }
 
 RateProfile parse_profile(std::string_view cell, std::size_t line_no) {
@@ -118,9 +109,9 @@ void write_schedule(std::ostream& os, const Schedule& schedule) {
     line.clear();
     line += std::to_string(static_cast<unsigned long long>(a.request));
     line.push_back(',');
-    append_double(line, a.start.to_seconds());
+    line += format_shortest(a.start.to_seconds());
     line.push_back(',');
-    append_double(line, a.bw.to_bytes_per_second());
+    line += format_shortest(a.bw.to_bytes_per_second());
     if (any_profiled) {
       line.push_back(',');
       if (a.is_profiled()) append_profile(line, a.profile);

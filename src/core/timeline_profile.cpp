@@ -16,14 +16,29 @@ void TimelineProfile::reserve(std::size_t interval_count) {
   pending_.reserve(pending_.size() + 2 * interval_count);
 }
 
-void TimelineProfile::ensure_merged() const { merge_pending(); }
+void TimelineProfile::ensure_merged() const {
+  merge_pending();
+  extend_prefix_max(times_.size());
+}
 
 void TimelineProfile::merge_pending() const {
   if (pending_.empty()) return;
   // Stable by time so that deltas landing on the same instant accumulate in
   // call order — the exact floating-point sums the delta map would produce.
-  std::stable_sort(pending_.begin(), pending_.end(),
-                   [](const Event& a, const Event& b) { return a.time < b.time; });
+  // An online add→query cycle leaves a handful of events, which an in-place
+  // insertion sort orders without the temporary buffer std::stable_sort
+  // allocates on every call.
+  if (pending_.size() <= kInPlaceSortMax) {
+    for (std::size_t j = 1; j < pending_.size(); ++j) {
+      const Event e = pending_[j];
+      std::size_t k = j;
+      for (; k > 0 && e.time < pending_[k - 1].time; --k) pending_[k] = pending_[k - 1];
+      pending_[k] = e;
+    }
+  } else {
+    std::stable_sort(pending_.begin(), pending_.end(),
+                     [](const Event& a, const Event& b) { return a.time < b.time; });
+  }
 
   // Nothing before the earliest pending instant changes: neither its slot
   // nor its cached prefix sum/max.
@@ -50,21 +65,23 @@ void TimelineProfile::merge_pending() const {
 
   // Backward pass: grow the arrays and merge the new instants into the
   // suffix from the back, so each element moves once.
-  times_.resize(n + fresh);
-  deltas_.resize(n + fresh);
-  std::size_t src = n;
-  std::size_t out = n + fresh;
-  for (std::size_t j = fresh; j > 0; --j) {
-    const Event& e = pending_[j - 1];
-    while (src > first && times_[src - 1] > e.time) {
-      --src;
+  if (fresh > 0) {
+    times_.resize(n + fresh);
+    deltas_.resize(n + fresh);
+    std::size_t src = n;
+    std::size_t out = n + fresh;
+    for (std::size_t j = fresh; j > 0; --j) {
+      const Event& e = pending_[j - 1];
+      while (src > first && times_[src - 1] > e.time) {
+        --src;
+        --out;
+        times_[out] = times_[src];
+        deltas_[out] = deltas_[src];
+      }
       --out;
-      times_[out] = times_[src];
-      deltas_[out] = deltas_[src];
+      times_[out] = e.time;
+      deltas_[out] = e.delta;
     }
-    --out;
-    times_[out] = e.time;
-    deltas_[out] = e.delta;
   }
   pending_.clear();
   refold_from(first);
@@ -72,19 +89,29 @@ void TimelineProfile::merge_pending() const {
 
 void TimelineProfile::refold_from(std::size_t first) const {
   values_.resize(times_.size());
-  prefix_max_.resize(times_.size());
-  // Seeding with the untouched cache entry below `first` continues the same
+  // Seeding with the untouched entry below `first` continues the same
   // left-to-right fold, so every refolded entry is the double a fold from
   // index 0 would produce.
   double acc = first == 0 ? 0.0 : values_[first - 1];
-  double best =
-      first == 0 ? -std::numeric_limits<double>::infinity() : prefix_max_[first - 1];
   for (std::size_t k = first; k < times_.size(); ++k) {
     acc += deltas_[k];
     values_[k] = acc;
-    best = std::max(best, acc);
+  }
+  max_valid_ = std::min(max_valid_, first);
+}
+
+void TimelineProfile::extend_prefix_max(std::size_t upto) const {
+  if (max_valid_ >= upto) return;
+  prefix_max_.resize(times_.size());
+  // The same running max a full fold would produce: std::max over values_
+  // in index order, continued from the last valid entry.
+  double best = max_valid_ == 0 ? -std::numeric_limits<double>::infinity()
+                                : prefix_max_[max_valid_ - 1];
+  for (std::size_t k = max_valid_; k < upto; ++k) {
+    best = std::max(best, values_[k]);
     prefix_max_[k] = best;
   }
+  max_valid_ = upto;
 }
 
 std::size_t TimelineProfile::upper_index(double t) const {
@@ -107,13 +134,15 @@ double TimelineProfile::max_over(TimePoint t0, TimePoint t1) const {
   const double hi = t1.to_seconds();
   // Breakpoints strictly inside (lo, hi): indices [first, last).
   const std::size_t first = upper_index(lo);
+  // hi > lo, so the breakpoints at or after hi start at or after `first`.
+  const auto from = times_.begin() + static_cast<std::ptrdiff_t>(first);
   const std::size_t last =
-      static_cast<std::size_t>(std::lower_bound(times_.begin(), times_.end(), hi) -
-                               times_.begin());
+      static_cast<std::size_t>(std::lower_bound(from, times_.end(), hi) - times_.begin());
   double best = 0.0;
   if (first < last) {
     if (first == 0) {
-      best = std::max(best, prefix_max_[last - 1]);  // O(1) left-anchored window
+      extend_prefix_max(last);
+      best = std::max(best, prefix_max_[last - 1]);  // left-anchored window
     } else {
       for (std::size_t k = first; k < last; ++k) best = std::max(best, values_[k]);
     }
@@ -127,7 +156,8 @@ double TimelineProfile::max_over(TimePoint t0, TimePoint t1) const {
 double TimelineProfile::global_max() const {
   merge_pending();
   if (times_.empty()) return 0.0;
-  return std::max(0.0, prefix_max_.back());
+  extend_prefix_max(times_.size());
+  return std::max(0.0, prefix_max_[times_.size() - 1]);
 }
 
 // gridbw:hot
@@ -185,6 +215,7 @@ void TimelineProfile::compact(double tolerance) {
   times_.resize(kept);
   deltas_.resize(kept);
   refold_from(0);
+  extend_prefix_max(kept);
 }
 
 std::size_t TimelineProfile::retirable_before(TimePoint horizon) const {

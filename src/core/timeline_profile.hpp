@@ -8,18 +8,22 @@
 //
 //  * `add` is O(1): it appends to a pending buffer. The buffer is merged
 //    into the sorted arrays in place on the first query after a batch of k
-//    adds: a stable sort of the pending events, one binary search for the
-//    earliest of them, and one pass over the suffix from there, whose caches
-//    are re-folded. That is O(k log k + log n + (n - first touched)), so
-//    online add→query cycles pay for the live tail, not the history, and
-//    bulk construction — the validator, dataplane replay, BOOK-AHEAD
-//    probes — costs O(n log n) once instead of O(n log n) map-node
-//    allocations.
+//    adds: a stable sort of the pending events (an in-place insertion sort
+//    for small online batches, std::stable_sort for bulk ones), one binary
+//    search for the earliest of them, and one pass over the suffix from
+//    there, whose prefix sums are re-folded. That is O(k log k + log n +
+//    (n - first touched)), so online add→query cycles pay for the live
+//    tail, not the history, and bulk construction — the validator,
+//    dataplane replay, BOOK-AHEAD probes — costs O(n log n) once instead of
+//    O(n log n) map-node allocations.
 //  * `value_at` is O(log n): binary search into the prefix-sum cache.
-//  * `global_max` is O(1) off the prefix-max cache.
+//  * The prefix-max cache is lazy: a merge only marks it stale from the
+//    first touched index, and `global_max` / left-anchored `max_over`
+//    extend the running max from there (O(1) when nothing changed), so
+//    windowed-only query streams never pay for it.
 //  * `max_over` / `integral` are O(log n + w) where w is the number of
 //    breakpoints inside the queried window (contiguous scans, no pointer
-//    chasing); left-anchored max windows resolve O(log n) off the cache.
+//    chasing).
 //
 // Numerical contract: every query returns the bit-identical double that
 // the reference returns for the same sequence of `add` calls. Deltas
@@ -32,12 +36,12 @@
 // Thread safety: queries may trigger the lazy merge and therefore mutate
 // internal caches even though they are declared `const`. A profile is safe
 // to share across threads for read-only queries only once `ensure_merged()`
-// (alias: `compile()`) has run and no further `add`/`compact` happens; two
+// (alias: `compile()`) has run — it also completes the prefix-max cache —
+// and no further `add`/`compact`/`retire_before` happens; two
 // threads racing the first query on an unmerged profile is a data race that
 // ThreadSanitizer reports (tests/tsan_stress_test.cpp exercises the merged
-// path). The parallel validator materializes every port profile in a
-// dedicated pre-pass before its query sweep shares them; distinct profiles
-// are always independent.
+// path and a running max left stale by a windowed query's merge). Distinct
+// profiles are always independent.
 
 #pragma once
 
@@ -58,17 +62,21 @@ class TimelineProfile {
   /// Pre-sizes the pending buffer for `interval_count` upcoming `add`s.
   void reserve(std::size_t interval_count);
 
-  /// Merges the pending buffer into the sorted arrays now. Queries do this
-  /// implicitly; call it explicitly before concurrent read-only access —
-  /// after this returns (and until the next `add`/`compact`), every query is
-  /// a pure read and any number of threads may query concurrently.
+  /// Merges the pending buffer into the sorted arrays and completes the
+  /// prefix-max cache now. Queries do this implicitly; call it explicitly
+  /// before concurrent read-only access — after this returns (and until the
+  /// next `add`/`compact`/`retire_before`), every query is a pure read and
+  /// any number of threads may query concurrently.
   void ensure_merged() const;
 
   /// Back-compatible alias for `ensure_merged()`.
   void compile() const { ensure_merged(); }
 
-  /// True when no pending adds are buffered, i.e. queries are pure reads.
-  [[nodiscard]] bool merged() const { return pending_.empty(); }
+  /// True when queries are pure reads: no pending adds are buffered and the
+  /// prefix-max cache is complete.
+  [[nodiscard]] bool merged() const {
+    return pending_.empty() && max_valid_ == times_.size();
+  }
 
   /// Value at time t (right-continuous: the value on [t, next breakpoint)).
   [[nodiscard]] double value_at(TimePoint t) const;
@@ -100,7 +108,7 @@ class TimelineProfile {
 
   /// Removes breakpoints whose accumulated delta has cancelled to ~0 (after
   /// many add/release pairs). Values within `tolerance` of zero are dropped
-  /// and the caches are rebuilt.
+  /// and the caches are rebuilt in full.
   void compact(double tolerance = 1e-9);
 
   /// Retired-breakpoint garbage collector: folds every breakpoint strictly
@@ -130,10 +138,15 @@ class TimelineProfile {
     double delta;
   };
 
+  // Pending batches up to this many events are sorted in place.
+  static constexpr std::size_t kInPlaceSortMax = 32;
+
   void merge_pending() const;
-  /// Recomputes values_/prefix_max_ from index `first` on, seeded with the
-  /// cached entries just below it.
+  /// Recomputes values_ from index `first` on, seeded with the entry just
+  /// below it, and marks prefix_max_ stale from `first`.
   void refold_from(std::size_t first) const;
+  /// Makes prefix_max_[0, upto) valid by continuing the running max.
+  void extend_prefix_max(std::size_t upto) const;
 
   /// First index k with times_[k] > t, i.e. t's value is values_[k-1].
   [[nodiscard]] std::size_t upper_index(double t) const;
@@ -145,6 +158,7 @@ class TimelineProfile {
   mutable std::vector<double> deltas_;      // combined delta applied at times_[k]
   mutable std::vector<double> values_;      // prefix sum: value on [times_[k], times_[k+1])
   mutable std::vector<double> prefix_max_;  // running max of values_[0..k]
+  mutable std::size_t max_valid_{0};        // prefix_max_[0, max_valid_) is current
 };
 
 }  // namespace gridbw

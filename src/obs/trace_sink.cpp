@@ -2,24 +2,15 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
 #include <stdexcept>
-#include <system_error>
+
+#include "util/parse.hpp"
 
 namespace gridbw::obs {
 namespace {
-
-/// Shortest decimal representation that round-trips the double — the same
-/// bytes for the same bits, on every run (std::to_chars is locale-free).
-std::string format_double(double value) {
-  std::array<char, 32> buf{};
-  const auto [ptr, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), value);
-  if (ec != std::errc{}) return "0";
-  return std::string{buf.data(), ptr};
-}
 
 /// Minimal RFC 8259 escaping for annotation strings (names, seeds).
 std::string json_escape(std::string_view s) {
@@ -120,15 +111,15 @@ JsonlSink::~JsonlSink() { out_->flush(); }
 std::string JsonlSink::format(const AdmissionEvent& event) {
   std::string line = "{\"event\":\"" + to_string(event.kind) + "\"";
   line += ",\"req\":" + std::to_string(event.request);
-  line += ",\"t\":" + format_double(event.when.to_seconds());
+  line += ",\"t\":" + format_shortest(event.when.to_seconds());
   switch (event.kind) {
     case EventKind::kSubmitted:
       line += ",\"attempt\":" + std::to_string(event.attempt);
       break;
     case EventKind::kAccepted:
       line += ",\"attempt\":" + std::to_string(event.attempt);
-      line += ",\"sigma\":" + format_double(event.sigma.to_seconds());
-      line += ",\"bw\":" + format_double(event.bw.to_bytes_per_second());
+      line += ",\"sigma\":" + format_shortest(event.sigma.to_seconds());
+      line += ",\"bw\":" + format_shortest(event.bw.to_bytes_per_second());
       break;
     case EventKind::kRejected:
       line += ",\"attempt\":" + std::to_string(event.attempt);
@@ -136,22 +127,22 @@ std::string JsonlSink::format(const AdmissionEvent& event) {
       break;
     case EventKind::kRetried:
       line += ",\"attempt\":" + std::to_string(event.attempt);
-      line += ",\"backoff\":" + format_double(event.backoff.to_seconds());
+      line += ",\"backoff\":" + format_shortest(event.backoff.to_seconds());
       break;
     case EventKind::kPreempted:
       break;
     case EventKind::kReclaimed:
-      line += ",\"bw\":" + format_double(event.bw.to_bytes_per_second());
+      line += ",\"bw\":" + format_shortest(event.bw.to_bytes_per_second());
       break;
     case EventKind::kExpired:
-      line += ",\"bw\":" + format_double(event.bw.to_bytes_per_second());
+      line += ",\"bw\":" + format_shortest(event.bw.to_bytes_per_second());
       break;
     case EventKind::kRevoked:
       line += ",\"reason\":\"" + to_string(event.reason) + "\"";
-      line += ",\"bw\":" + format_double(event.bw.to_bytes_per_second());
+      line += ",\"bw\":" + format_shortest(event.bw.to_bytes_per_second());
       break;
     case EventKind::kReshaped:
-      line += ",\"bw\":" + format_double(event.bw.to_bytes_per_second());
+      line += ",\"bw\":" + format_shortest(event.bw.to_bytes_per_second());
       break;
   }
   line += "}";

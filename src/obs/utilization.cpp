@@ -1,22 +1,13 @@
 #include "obs/utilization.hpp"
 
-#include <array>
-#include <charconv>
 #include <string>
-#include <system_error>
 #include <unordered_map>
 
 #include "core/timeline_profile.hpp"
+#include "util/parse.hpp"
 
 namespace gridbw::obs {
 namespace {
-
-std::string fmt(double value) {
-  std::array<char, 32> buf{};
-  const auto [ptr, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), value);
-  if (ec != std::errc{}) return "0";
-  return std::string{buf.data(), ptr};
-}
 
 PortUtilization summarize(const TimelineProfile& profile, std::size_t port,
                           bool is_ingress, Bandwidth capacity, TimePoint t0,
@@ -44,26 +35,30 @@ void write_port_csv(std::ostream& out, std::string_view label,
                     const PortUtilization& u) {
   const char* kind = u.is_ingress ? "ingress" : "egress";
   out << label << ",summary," << kind << ',' << u.port << ",,,"
-      << fmt(u.capacity.to_bytes_per_second()) << ','
-      << fmt(u.peak.to_bytes_per_second()) << ',' << fmt(u.peak_ratio) << ','
-      << fmt(u.carried.to_bytes()) << ',' << fmt(u.mean_ratio) << '\n';
+      << format_shortest(u.capacity.to_bytes_per_second()) << ','
+      << format_shortest(u.peak.to_bytes_per_second()) << ','
+      << format_shortest(u.peak_ratio) << ','
+      << format_shortest(u.carried.to_bytes()) << ','
+      << format_shortest(u.mean_ratio) << '\n';
   for (const UtilSample& s : u.series) {
     out << label << ",sample," << kind << ',' << u.port << ','
-        << fmt(s.at.to_seconds()) << ',' << fmt(s.load.to_bytes_per_second()) << ','
-        << fmt(u.capacity.to_bytes_per_second()) << ",,,,\n";
+        << format_shortest(s.at.to_seconds()) << ','
+        << format_shortest(s.load.to_bytes_per_second()) << ','
+        << format_shortest(u.capacity.to_bytes_per_second()) << ",,,,\n";
   }
 }
 
 void write_port_json(std::ostream& out, const PortUtilization& u) {
   out << "{\"port\":" << u.port << ",\"capacity_bps\":"
-      << fmt(u.capacity.to_bytes_per_second())
-      << ",\"peak_bps\":" << fmt(u.peak.to_bytes_per_second())
-      << ",\"peak_ratio\":" << fmt(u.peak_ratio)
-      << ",\"carried_bytes\":" << fmt(u.carried.to_bytes())
-      << ",\"mean_ratio\":" << fmt(u.mean_ratio) << ",\"series\":[";
+      << format_shortest(u.capacity.to_bytes_per_second())
+      << ",\"peak_bps\":" << format_shortest(u.peak.to_bytes_per_second())
+      << ",\"peak_ratio\":" << format_shortest(u.peak_ratio)
+      << ",\"carried_bytes\":" << format_shortest(u.carried.to_bytes())
+      << ",\"mean_ratio\":" << format_shortest(u.mean_ratio) << ",\"series\":[";
   for (std::size_t s = 0; s < u.series.size(); ++s) {
-    out << (s == 0 ? "" : ",") << "[" << fmt(u.series[s].at.to_seconds()) << ","
-        << fmt(u.series[s].load.to_bytes_per_second()) << "]";
+    out << (s == 0 ? "" : ",") << "["
+        << format_shortest(u.series[s].at.to_seconds()) << ","
+        << format_shortest(u.series[s].load.to_bytes_per_second()) << "]";
   }
   out << "]}";
 }
@@ -88,7 +83,8 @@ void UtilizationReport::write_csv(std::ostream& out, std::string_view label) con
 
 void UtilizationReport::write_json(std::ostream& out, std::string_view label) const {
   out << "{\"scheduler\":\"" << label << "\",\"window\":["
-      << fmt(window_start.to_seconds()) << "," << fmt(window_end.to_seconds())
+      << format_shortest(window_start.to_seconds()) << ","
+      << format_shortest(window_end.to_seconds())
       << "],\"ingress\":[";
   for (std::size_t p = 0; p < ingress.size(); ++p) {
     if (p != 0) out << ",";

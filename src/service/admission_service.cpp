@@ -1,12 +1,12 @@
 #include "service/admission_service.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <limits>
 #include <mutex>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -33,34 +33,18 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-// Min-heap of reservation start instants with lazy deletion: departures
-// push the matching start onto `dead` and the purge cancels equal tops.
-// After a purge, live.top() is a lower bound on the earliest live start —
-// exact once every older departure has been applied, conservative (never
-// too high) in between, which is the safe direction for a GC watermark.
-struct StartHeap {
-  std::priority_queue<double, std::vector<double>, std::greater<>> live;
-  std::priority_queue<double, std::vector<double>, std::greater<>> dead;
-
-  void admit(double start) { live.push(start); }
-  void expire(double start) {
-    dead.push(start);
-    while (!dead.empty() && !live.empty() && dead.top() == live.top()) {
-      dead.pop();
-      live.pop();
-    }
-  }
-  [[nodiscard]] bool any_live() const { return !live.empty(); }
-  [[nodiscard]] double min_live_start() const { return live.top(); }
-};
-
 }  // namespace
 
 struct AdmissionService::Impl {
   struct PortCell {
     TimelineProfile profile;
     double capacity{0.0};
-    StartHeap starts;
+    // The port's admitted requests in admission order, for the GC
+    // watermark (kept only with options.gc). Admitted starts never
+    // decrease — a drain admits in event order and rejects a release
+    // before an earlier drain's last event — so once the departed entries
+    // at the front are popped, the front holds the earliest live start.
+    std::deque<std::uint32_t> starts;
     std::size_t departures_since_gc{0};
   };
 
@@ -84,6 +68,7 @@ struct AdmissionService::Impl {
   std::vector<Request> requests;
   std::vector<double> rate;               // granted bandwidth (min_rate), bytes/s
   std::vector<std::uint8_t> admitted;
+  std::vector<std::uint8_t> departed;
   std::vector<std::uint8_t> reason;       // RejectReason when not admitted
   std::size_t drained{0};                 // requests already executed
   // Latest event time any drain has executed; never moves backwards.
@@ -125,14 +110,17 @@ struct AdmissionService::Impl {
     const std::size_t total = requests.size();
     rate.resize(total, 0.0);
     admitted.resize(total, 0);
+    departed.resize(total, 0);
     reason.resize(total, static_cast<std::uint8_t>(obs::RejectReason::kNone));
 
-    std::vector<Event> events;
-    events.reserve(2 * (total - first));
+    std::vector<Event> arrivals;
+    std::vector<Event> departures;
+    arrivals.reserve(total - first);
+    departures.reserve(total - first);
     for (std::size_t k = first; k < total; ++k) {
       const Request& r = requests[k];
       const auto req = static_cast<std::uint32_t>(k);
-      events.push_back({r.release.to_seconds(), req, false});
+      arrivals.push_back({r.release.to_seconds(), req, false});
       if (r.deadline <= r.release) {
         reason[k] = static_cast<std::uint8_t>(obs::RejectReason::kDegenerateWindow);
       } else if (r.release.to_seconds() < last_event_t) {
@@ -141,18 +129,27 @@ struct AdmissionService::Impl {
         reason[k] = static_cast<std::uint8_t>(obs::RejectReason::kReleaseBeforeWatermark);
       } else {
         rate[k] = r.min_rate().to_bytes_per_second();
-        events.push_back({r.deadline.to_seconds(), req, true});
+        departures.push_back({r.deadline.to_seconds(), req, true});
       }
     }
     // Global deterministic order: time, then departures before arrivals at
     // equal instants (reservations are half-open, so bandwidth ending at t
-    // is available to work released at t), then request id.
-    std::stable_sort(events.begin(), events.end(),
-                     [](const Event& a, const Event& b) {
-                       if (a.t != b.t) return a.t < b.t;
-                       if (a.departure != b.departure) return a.departure;
-                       return a.req < b.req;
-                     });
+    // is available to work released at t), then request index. It is a
+    // total order, so sorting each kind and merging them gives the one
+    // sorted sequence. Arrivals come in index order, usually already by
+    // release time too.
+    const auto earlier = [](const Event& a, const Event& b) {
+      if (a.t != b.t) return a.t < b.t;
+      if (a.departure != b.departure) return a.departure;
+      return a.req < b.req;
+    };
+    if (!std::is_sorted(arrivals.begin(), arrivals.end(), earlier)) {
+      std::sort(arrivals.begin(), arrivals.end(), earlier);
+    }
+    std::sort(departures.begin(), departures.end(), earlier);
+    std::vector<Event> events(arrivals.size() + departures.size());
+    std::merge(departures.begin(), departures.end(), arrivals.begin(), arrivals.end(),
+               events.begin(), earlier);
     return events;
   }
 
@@ -165,13 +162,13 @@ struct AdmissionService::Impl {
         static_cast<std::uint8_t>(obs::RejectReason::kNone)) {
       return;  // rejected at sequencing time
     }
-    if (!approx_le(r.min_rate(), r.max_rate)) {
+    const double bw = rate[ev.req];  // min_rate, set at sequencing time
+    if (!approx_le(Bandwidth::bytes_per_second(bw), r.max_rate)) {
       reason[ev.req] = static_cast<std::uint8_t>(obs::RejectReason::kInfeasibleRate);
       return;
     }
     PortCell& in = cells[cell_of_ingress(r.ingress)];
     PortCell& eg = cells[cell_of_egress(r.egress)];
-    const double bw = rate[ev.req];
     // Same threshold as NetworkLedger::fits_ingress/fits_egress (approx_le
     // on peak + rate) so the service and the batch engines agree on
     // borderline loads.
@@ -188,8 +185,13 @@ struct AdmissionService::Impl {
     }
     in.profile.add(r.release, r.deadline, bw);
     eg.profile.add(r.release, r.deadline, bw);
-    in.starts.admit(r.release.to_seconds());
-    eg.starts.admit(r.release.to_seconds());
+    if (options.gc) {
+      for (PortCell* cell : {&in, &eg}) {
+        assert(cell->starts.empty() ||
+               requests[cell->starts.back()].release <= r.release);
+        cell->starts.push_back(ev.req);
+      }
+    }
     admitted[ev.req] = 1;
   }
 
@@ -197,10 +199,10 @@ struct AdmissionService::Impl {
   void execute_departure(const Event& ev) {
     const Request& r = requests[ev.req];
     const double bw = rate[ev.req];
+    departed[ev.req] = 1;
     for (PortCell* cell : {&cells[cell_of_ingress(r.ingress)],
                            &cells[cell_of_egress(r.egress)]}) {
       cell->profile.add(r.release, r.deadline, -bw);
-      cell->starts.expire(r.release.to_seconds());
       if (options.gc && ++cell->departures_since_gc >= kGcBatch) {
         cell->departures_since_gc = 0;
         collect_cell(*cell, ev.t);
@@ -211,16 +213,19 @@ struct AdmissionService::Impl {
   // Retire the dead breakpoint prefix of one port, guarded by the safe
   // watermark: never past the earliest live reservation start (future
   // departures re-touch their start instant) and never past the current
-  // event time (future arrivals release at or after it). Same amortization
-  // policy as NetworkLedger::maybe_retire_port: fold only when at least a
-  // batch of breakpoints retires AND they are at least half the residents,
-  // so the erase/shift cost stays O(1) amortized per retired breakpoint.
+  // event time (future arrivals release at or after it). Fold only when at
+  // least a batch of breakpoints retires AND they are at least half the
+  // residents, so the erase/shift cost stays O(1) amortized per retired
+  // breakpoint.
   // GRIDBW-ALLOW(hot-propagation): amortized GC tail, off the per-event path
   void collect_cell(PortCell& cell, double now) {
     constexpr std::size_t kMinRetireBatch = 64;
     double horizon = now;
-    if (cell.starts.any_live()) {
-      horizon = std::min(horizon, cell.starts.min_live_start());
+    while (!cell.starts.empty() && departed[cell.starts.front()] != 0) {
+      cell.starts.pop_front();
+    }
+    if (!cell.starts.empty()) {
+      horizon = std::min(horizon, requests[cell.starts.front()].release.to_seconds());
     }
     const std::size_t retirable =
         cell.profile.retirable_before(TimePoint::at_seconds(horizon));

@@ -1,6 +1,7 @@
 #include "util/parse.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -43,6 +44,13 @@ double parse_double(const std::string& key, const std::string& value) {
     throw ValueError{key, value, "a finite number"};
   }
   return out;
+}
+
+std::string format_shortest(double value) {
+  // 32 bytes hold the longest shortest form ("-2.2250738585072014e-308").
+  std::array<char, 32> buf{};
+  const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), value);
+  return std::string{buf.data(), res.ptr};
 }
 
 bool parse_bool(const std::string& key, const std::string& value) {

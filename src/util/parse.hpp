@@ -4,7 +4,8 @@
 // files). A value parses only when the whole string is one base-10 integer,
 // one finite decimal number, or one boolean word; anything else — trailing
 // junk, an empty string, inf/nan, an out-of-range integer — throws
-// ValueError naming the key.
+// ValueError naming the key. `format_shortest` is its inverse: the shortest
+// text that parses back to the same double.
 
 #pragma once
 
@@ -35,6 +36,10 @@ class ValueError : public std::runtime_error {
 
 /// Rejects non-finite results as well as malformed text.
 [[nodiscard]] double parse_double(const std::string& key, const std::string& value);
+
+/// The shortest decimal text (std::to_chars) that reads back as exactly
+/// `value`: parse_double(key, format_shortest(v)) == v for every finite v.
+[[nodiscard]] std::string format_shortest(double value);
 
 /// true/1/yes/on or false/0/no/off, case-insensitive.
 [[nodiscard]] bool parse_bool(const std::string& key, const std::string& value);

@@ -1,7 +1,5 @@
 #include "workload/trace.hpp"
 
-#include <array>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -28,13 +26,13 @@ std::vector<std::string> split_csv_line(const std::string& line) {
 
 void write_trace(std::ostream& os, std::span<const Request> requests) {
   os << kHeader << '\n';
-  std::array<char, 256> buf{};
+  // Shortest round-trip numbers: read_trace gives back the same doubles.
   for (const Request& r : requests) {
-    std::snprintf(buf.data(), buf.size(), "%llu,%zu,%zu,%.9f,%.9f,%.3f,%.3f",
-                  static_cast<unsigned long long>(r.id), r.ingress.value,
-                  r.egress.value, r.release.to_seconds(), r.deadline.to_seconds(),
-                  r.volume.to_bytes(), r.max_rate.to_bytes_per_second());
-    os << buf.data() << '\n';
+    os << r.id << ',' << r.ingress.value << ',' << r.egress.value << ','
+       << format_shortest(r.release.to_seconds()) << ','
+       << format_shortest(r.deadline.to_seconds()) << ','
+       << format_shortest(r.volume.to_bytes()) << ','
+       << format_shortest(r.max_rate.to_bytes_per_second()) << '\n';
   }
 }
 

@@ -52,6 +52,7 @@ TEST_P(ParserFuzz, MessageParserNeverCrashes) {
       // to the same message (round-trip stability).
       const auto again = control::parse_message(control::serialize(*parsed));
       ASSERT_TRUE(again.has_value()) << line;
+      EXPECT_TRUE(*again == *parsed) << line;
     }
   }
 }

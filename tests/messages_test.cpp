@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "control/messages.hpp"
+#include "util/random.hpp"
 
 namespace gridbw::control {
 namespace {
@@ -23,6 +26,43 @@ TEST(Messages, ResvRoundTrip) {
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(std::holds_alternative<ResvMessage>(*parsed));
   EXPECT_EQ(std::get<ResvMessage>(*parsed), std::get<ResvMessage>(original));
+}
+
+TEST(Messages, ResvRoundTripIsExact) {
+  // Numbers with 12 to 17 significant digits, past the 9 a fixed-precision
+  // format keeps: every field must come back bit for bit.
+  const Request request = RequestBuilder{43}
+                              .from(IngressId{1})
+                              .to(EgressId{2})
+                              .window(TimePoint::at_seconds(1234.56789012),
+                                      TimePoint::at_seconds(0.1 + 2345.678901234567))
+                              .volume(Volume::bytes(1.0e12 / 3.0))
+                              .max_rate(Bandwidth::bytes_per_second(987654321.123456789))
+                              .build();
+  const auto parsed = parse_message(serialize(Message{ResvMessage{request}}));
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_TRUE(std::holds_alternative<ResvMessage>(*parsed));
+  const Request& back = std::get<ResvMessage>(*parsed).request;
+  EXPECT_EQ(back.release.to_seconds(), request.release.to_seconds());
+  EXPECT_EQ(back.deadline.to_seconds(), request.deadline.to_seconds());
+  EXPECT_EQ(back.volume.to_bytes(), request.volume.to_bytes());
+  EXPECT_EQ(back.max_rate.to_bytes_per_second(), request.max_rate.to_bytes_per_second());
+
+  // GRANT and TEAR compare exactly; draw their numbers over many magnitudes.
+  Rng rng{20};
+  for (int k = 0; k < 1000; ++k) {
+    const double start = rng.uniform(0.0, 1.0) * std::pow(10.0, rng.uniform(-6.0, 9.0));
+    const double bw = rng.uniform(0.0, 1.0) * std::pow(10.0, rng.uniform(0.0, 12.0));
+    const auto id = static_cast<RequestId>(k);
+    const Message grant{
+        GrantMessage{id, TimePoint::at_seconds(start), Bandwidth::bytes_per_second(bw)}};
+    const Message tear{TearMessage{id, EgressId{1}, Bandwidth::bytes_per_second(bw)}};
+    for (const Message& m : {grant, tear}) {
+      const auto parsed_back = parse_message(serialize(m));
+      ASSERT_TRUE(parsed_back.has_value()) << serialize(m);
+      EXPECT_TRUE(*parsed_back == m) << serialize(m);
+    }
+  }
 }
 
 TEST(Messages, GrantRoundTrip) {

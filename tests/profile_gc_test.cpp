@@ -1,7 +1,7 @@
-// Retired-breakpoint GC (ISSUE 7 tentpole): differential proof that
+// Retired-breakpoint GC: differential proof that
 // TimelineProfile::retire_before keeps post-horizon query semantics
-// bit-identical, plus the NetworkLedger release -> GC -> re-admit round
-// trip and the resident-breakpoint bound the churn engine relies on.
+// bit-identical. Its one caller, the online AdmissionService, is checked
+// against GC-off runs in service_test.
 //
 // The EXPECT_EQ assertions below compare raw doubles on purpose: the GC
 // contract is exact equality (the compacted standing breakpoint folds to
@@ -9,11 +9,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "core/ledger.hpp"
 #include "core/timeline_profile.hpp"
 #include "workload/generator.hpp"
 #include "workload/load.hpp"
@@ -192,102 +190,6 @@ TEST(ProfileGc, RetireKeepsAddPathUsable) {
   profile.add(TimePoint::at_seconds(95.0), TimePoint::at_seconds(99.0), 7.0);
   EXPECT_EQ(profile.value_at(TimePoint::at_seconds(96.0)), 17.0);
   EXPECT_EQ(profile.value_at(TimePoint::at_seconds(100.5)), 0.0);
-}
-
-// --- ledger round trip ----------------------------------------------------
-
-TEST(LedgerGc, ReleaseCollectReAdmitMatchesFreshLedger) {
-  for (const std::uint64_t seed : kSeeds) {
-    const auto requests = fig4_workload(seed, 3000);
-    const Network net = workload::paper_rigid(Duration::seconds(1),
-                                              Duration::seconds(1))
-                            .network;
-
-    NetworkLedger churned{net};
-    std::vector<std::size_t> admitted;
-    for (std::size_t k = 0; k < requests.size(); ++k) {
-      const Request& r = requests[k];
-      if (churned.fits(r.ingress, r.egress, r.release, r.deadline, r.min_rate())) {
-        churned.reserve(r.ingress, r.egress, r.release, r.deadline, r.min_rate());
-        admitted.push_back(k);
-      }
-    }
-    ASSERT_GT(admitted.size(), 10u);
-
-    // Expire the earliest 80% by deadline — enough churn that the per-port
-    // amortization thresholds (>= 64 retirable, >= half the residents)
-    // actually fire — then GC at the live watermark.
-    std::vector<std::size_t> by_deadline = admitted;
-    std::sort(by_deadline.begin(), by_deadline.end(), [&](std::size_t a, std::size_t b) {
-      return requests[a].deadline < requests[b].deadline;
-    });
-    const std::size_t half = by_deadline.size() * 4 / 5;
-    for (std::size_t j = 0; j < half; ++j) {
-      const Request& r = requests[by_deadline[j]];
-      churned.release(r.ingress, r.egress, r.release, r.deadline, r.min_rate());
-    }
-    TimePoint watermark = requests[by_deadline[half]].deadline;
-    for (std::size_t j = half; j < by_deadline.size(); ++j) {
-      watermark = min(watermark, requests[by_deadline[j]].release);
-    }
-    churned.advance_horizon(watermark);
-    const std::size_t retired = churned.collect_retired();
-    EXPECT_GT(retired, 0u) << "seed " << seed;
-
-    // A fresh ledger holding only the live reservations must agree with the
-    // churned + compacted one on every post-watermark admission probe.
-    NetworkLedger fresh{net};
-    for (std::size_t j = half; j < by_deadline.size(); ++j) {
-      const Request& r = requests[by_deadline[j]];
-      fresh.reserve(r.ingress, r.egress, r.release, r.deadline, r.min_rate());
-    }
-    std::size_t disagreements = 0;
-    for (const Request& r : requests) {
-      const TimePoint t0 = max(r.release, watermark);
-      const TimePoint t1 = max(r.deadline, watermark);
-      if (!(t1 > t0)) continue;
-      if (churned.fits(r.ingress, r.egress, t0, t1, r.min_rate()) !=
-          fresh.fits(r.ingress, r.egress, t0, t1, r.min_rate())) {
-        ++disagreements;
-      }
-    }
-    EXPECT_EQ(disagreements, 0u) << "seed " << seed;
-  }
-}
-
-TEST(LedgerGc, SteadyStateResidencyStaysBounded) {
-  const Network net = Network::uniform(2, 2, Bandwidth::gigabytes_per_second(1));
-  NetworkLedger gc_on{net};
-  NetworkLedger gc_off{net};
-  const Bandwidth bw = Bandwidth::megabytes_per_second(10);
-
-  // 20k sequential short reservations; at most ~16 live at once.
-  constexpr std::size_t kChurn = 20000;
-  std::size_t peak_resident = 0;
-  for (std::size_t k = 0; k < kChurn; ++k) {
-    const auto t0 = TimePoint::at_seconds(static_cast<double>(k));
-    const auto t1 = TimePoint::at_seconds(static_cast<double>(k + 16));
-    const IngressId i{k % 2};
-    const EgressId e{(k / 2) % 2};
-    gc_on.reserve(i, e, t0, t1, bw);
-    gc_off.reserve(i, e, t0, t1, bw);
-    if (k >= 16) {
-      const auto s0 = TimePoint::at_seconds(static_cast<double>(k - 16));
-      const auto s1 = TimePoint::at_seconds(static_cast<double>(k));
-      const IngressId ri{(k - 16) % 2};
-      const EgressId re{((k - 16) / 2) % 2};
-      gc_on.release(ri, re, s0, s1, bw);
-      gc_off.release(ri, re, s0, s1, bw);
-      // Safe watermark: the earliest still-live reservation starts at k-15.
-      gc_on.advance_horizon(TimePoint::at_seconds(static_cast<double>(k - 15)));
-    }
-    peak_resident = std::max(peak_resident, gc_on.resident_breakpoints());
-  }
-  // GC keeps residency O(live + batch); without it the profiles hold the
-  // whole history.
-  EXPECT_LT(peak_resident, 2000u);
-  EXPECT_GT(gc_off.resident_breakpoints(), 10000u);
-  EXPECT_LT(gc_on.resident_breakpoints(), 1000u);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 //    deadline has passed, and the port load returns to zero;
 //  * GC — resident breakpoints stay O(live) under churn while decisions
 //    match the GC-off run exactly;
+//  * sequencing — at one instant, departures run before arrivals, each in
+//    id order, whatever the submission order;
 //  * batch boundaries — a later drain never admits against load an earlier
 //    drain already released (the watermark rejection);
 //  * input boundary — submit() rejects non-finite fields with a typed error.
@@ -141,6 +143,66 @@ TEST(Service, GcBoundsResidentBreakpointsWithoutChangingDecisions) {
   EXPECT_GT(on.breakpoints_retired, 0u);
   EXPECT_GT(on.compactions, 0u);
   EXPECT_LT(on.resident_breakpoints, off.resident_breakpoints);
+}
+
+TEST(Service, EqualInstantsSequenceDeparturesFirstThenById) {
+  // 1x1 fabric at 1 GB/s; every request holds a quarter of the port for
+  // 10 s. Five arrive at 0 (one too many), four at 10, the instant the
+  // first four depart, so those four fit only if departures run first.
+  // Ids are submitted shuffled; at each instant the trace must list the
+  // expirations, then the arrivals, each in id order.
+  const Network net = Network::uniform(1, 1, Bandwidth::gigabytes_per_second(1));
+  const auto quarter = [](RequestId id, double release) {
+    return RequestBuilder{id}
+        .from(IngressId{0})
+        .to(EgressId{0})
+        .window(TimePoint::at_seconds(release), TimePoint::at_seconds(release + 10))
+        .volume(Volume::bytes(2.5e9))
+        .max_rate(Bandwidth::bytes_per_second(2.5e8))
+        .build();
+  };
+  const std::vector<Request> requests = {
+      quarter(11, 10), quarter(7, 0),  quarter(4, 10), quarter(12, 0), quarter(1, 10),
+      quarter(3, 0),   quarter(9, 0),  quarter(8, 10), quarter(5, 0)};
+  const std::vector<std::string> expected = {
+      "submitted 3 0",  "accepted 3 0",  "submitted 5 0",  "accepted 5 0",
+      "submitted 7 0",  "accepted 7 0",  "submitted 9 0",  "accepted 9 0",
+      "submitted 12 0", "rejected 12 0", "expired 3 10",   "expired 5 10",
+      "expired 7 10",   "expired 9 10",  "submitted 1 10", "accepted 1 10",
+      "submitted 4 10", "accepted 4 10", "submitted 8 10", "accepted 8 10",
+      "submitted 11 10", "accepted 11 10", "expired 1 20",  "expired 4 20",
+      "expired 8 20",   "expired 11 20"};
+
+  std::vector<std::string> traces;
+  for (const bool gc : {true, false}) {
+    std::ostringstream out;
+    {
+      obs::JsonlSink sink{out};
+      obs::Observer observer{&sink, nullptr};
+      service::AdmissionService svc{net, {.gc = gc, .observer = &observer}};
+      for (const Request& r : requests) svc.submit(r);
+      const service::ServiceReport report = svc.drain();
+      sink.flush();
+      EXPECT_EQ(report.admitted, 8u) << "gc " << gc;
+      EXPECT_EQ(report.rejected, 1u) << "gc " << gc;
+    }
+    traces.push_back(out.str());
+    // "event", "req" and "t" of each JSONL line, in trace order.
+    std::vector<std::string> got;
+    std::istringstream lines{out.str()};
+    for (std::string line; std::getline(lines, line);) {
+      const auto field = [&](const std::string& key) {
+        const std::size_t at = line.find("\"" + key + "\":") + key.size() + 3;
+        const std::size_t end = line.find_first_of(",}", at);
+        std::string value = line.substr(at, end - at);
+        value.erase(std::remove(value.begin(), value.end(), '"'), value.end());
+        return value;
+      };
+      got.push_back(field("event") + " " + field("req") + " " + field("t"));
+    }
+    EXPECT_EQ(got, expected) << "gc " << gc;
+  }
+  EXPECT_EQ(traces[0], traces[1]);
 }
 
 TEST(Service, MultiBatchDrainKeepsPortStateAndSequencing) {

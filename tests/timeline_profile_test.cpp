@@ -3,7 +3,8 @@
 // (same breakpoints, value_at, max_over, global_max, integral) across
 // randomized interval stacks (topped with a breakpoint-dense run probed by
 // sliver windows), one-add-one-query cycles (with retire_before and compact
-// between them), and compact.
+// between them), batched adds whose global queries follow runs of windowed
+// ones, and compact.
 // Comparisons use EXPECT_EQ on raw doubles on purpose: the flat profile
 // reproduces the exact floating-point operation order of the map scans.
 
@@ -350,6 +351,73 @@ TEST_P(TimelineProfileDifferential, InterleavedReleaseMonotoneAddsMatchStepFunct
 
 TEST_P(TimelineProfileDifferential, InterleavedRandomAddsMatchStepFunction) {
   expect_interleaved_identical(GetParam(), /*monotone=*/false);
+}
+
+/// Batches of 1–20 adds — 2 to 40 pending events, on both sides of the
+/// in-place sort cutoff — on a half-second grid, so many deltas land on one
+/// instant and must accumulate in call order. Runs of windowed-only queries
+/// leave the running max stale across several merges before a global_max or
+/// a left-anchored max_over extends it, and retire_before cuts in between.
+/// After retire_before(h) the whole-axis and left-anchored maxima are
+/// compared with the reference's maximum from just below h, as above.
+TEST_P(TimelineProfileDifferential, BatchedAddsWithLazyRunningMaxMatchStepFunction) {
+  constexpr double kBeforeAll = -1e6;
+  const std::uint64_t seed = GetParam();
+  Rng rng{seed};
+  StepFunction ref;
+  TimelineProfile flat;
+  const auto grid = [&](double lo, double hi) {
+    return std::floor(rng.uniform(lo, hi) * 2.0) / 2.0;
+  };
+  double now = 0.0;
+  double floor_h = kBeforeAll;  // last retire horizon
+  const auto ref_max_to = [&](double upto) {
+    return ref.max_over(at(std::nextafter(floor_h, kBeforeAll)), at(upto));
+  };
+  int large_batches = 0;
+  int global_checks = 0;
+  for (int round = 0; round < 400; ++round) {
+    now += grid(0.0, 3.0);
+    const auto adds = rng.uniform_int(1, 20);
+    if (adds > 16) ++large_batches;
+    for (std::int64_t k = 0; k < adds; ++k) {
+      const double lo = now + grid(0.0, 30.0);
+      const double hi = lo + 0.5 + grid(0.0, 20.0);
+      // Loads grow with the round, so the running max keeps rising in the
+      // freshly merged tail, where a stale cache would show.
+      const double delta = rng.uniform01() < 0.25
+                               ? -rng.uniform(0.1, 2.0)
+                               : rng.uniform(0.1, 4.0) * (1.0 + round / 20.0);
+      ref.add(at(lo), at(hi), delta);
+      flat.add(at(lo), at(hi), delta);
+    }
+    // Windowed queries only: they never need the running max.
+    for (int q = 0; q < 3; ++q) {
+      const double wlo = std::max(floor_h, now - grid(0.0, 20.0) + 0.25);
+      const double whi = wlo + 0.25 + grid(0.0, 40.0);
+      EXPECT_EQ(ref.value_at(at(wlo)), flat.value_at(at(wlo)))
+          << "round=" << round << " seed=" << seed;
+      EXPECT_EQ(ref.max_over(at(wlo), at(whi)), flat.max_over(at(wlo), at(whi)))
+          << "round=" << round << " seed=" << seed;
+      EXPECT_EQ(ref.integral(at(wlo), at(whi)), flat.integral(at(wlo), at(whi)))
+          << "round=" << round << " seed=" << seed;
+    }
+    if (rng.uniform01() < 0.2) {
+      ++global_checks;
+      const double hi = now + grid(0.0, 60.0);
+      EXPECT_EQ(ref_max_to(hi), flat.max_over(at(kBeforeAll), at(hi)))
+          << "round=" << round << " seed=" << seed;
+      EXPECT_EQ(ref_max_to(now + 1e3), flat.global_max())
+          << "round=" << round << " seed=" << seed;
+    }
+    if (round % 60 == 59) {
+      floor_h = now;
+      flat.retire_before(at(floor_h));
+    }
+  }
+  EXPECT_EQ(ref_max_to(now + 1e3), flat.global_max()) << "seed=" << seed;
+  EXPECT_GT(large_batches, 0) << "no batch went past the in-place sort";
+  EXPECT_GT(global_checks, 40);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, TimelineProfileDifferential,

@@ -83,6 +83,37 @@ TEST(TsanStress, SharedMergedProfileSurvivesConcurrentQueries) {
   EXPECT_TRUE(profile.merged()) << "concurrent queries must not unmerge";
 }
 
+TEST(TsanStress, SharedProfileWithStaleRunningMaxSurvivesConcurrentMaxQueries) {
+  TimelineProfile profile;
+  for (int k = 0; k < 2000; ++k) {
+    const double t0 = static_cast<double>(k);
+    profile.add(TimePoint::at_seconds(t0), TimePoint::at_seconds(t0 + 9.0), 1.0);
+  }
+  const double early_peak = profile.global_max();  // running max complete
+  // A late batch merged by a windowed query leaves the running max stale
+  // from the first touched breakpoint on.
+  profile.add(TimePoint::at_seconds(1500.0), TimePoint::at_seconds(1510.0), 50.0);
+  (void)profile.value_at(TimePoint::at_seconds(1505.0));
+  // THE FIX UNDER TEST: ensure_merged() completes the running max, so the
+  // max queries below only read it. Without that completion the first of
+  // them race to extend it, and TSan reports the race.
+  profile.ensure_merged();
+  ASSERT_TRUE(profile.merged());
+  const double expected_peak = early_peak + 50.0;
+
+  ThreadPool pool{8};
+  std::atomic<int> mismatches{0};
+  parallel_for_index(pool, 64, [&](std::size_t i) {
+    if (profile.global_max() != expected_peak) ++mismatches;
+    const auto hi = TimePoint::at_seconds(1000.0 + static_cast<double>(i * 16));
+    // Starts before the first breakpoint: the running-max path.
+    const double anchored = profile.max_over(TimePoint::at_seconds(-1.0), hi);
+    if (anchored != (hi.to_seconds() > 1500.0 ? expected_peak : early_peak)) ++mismatches;
+  });
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_TRUE(profile.merged());
+}
+
 TEST(TsanStress, ParallelForIndexExceptionPropagationUnderLoad) {
   ThreadPool pool{8};
   for (int round = 0; round < 20; ++round) {

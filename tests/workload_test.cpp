@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -235,11 +237,16 @@ TEST(Trace, RoundTripsExactly) {
     EXPECT_EQ(loaded[k].id, original[k].id);
     EXPECT_EQ(loaded[k].ingress, original[k].ingress);
     EXPECT_EQ(loaded[k].egress, original[k].egress);
-    EXPECT_NEAR(loaded[k].release.to_seconds(), original[k].release.to_seconds(), 1e-6);
-    EXPECT_NEAR(loaded[k].deadline.to_seconds(), original[k].deadline.to_seconds(), 1e-6);
-    EXPECT_NEAR(loaded[k].volume.to_bytes(), original[k].volume.to_bytes(), 1.0);
-    EXPECT_NEAR(loaded[k].max_rate.to_bytes_per_second(),
-                original[k].max_rate.to_bytes_per_second(), 1.0);
+    // Raw bits: a replayed trace must drive the engines with the very
+    // doubles the generator produced.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded[k].release.to_seconds()),
+              std::bit_cast<std::uint64_t>(original[k].release.to_seconds()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded[k].deadline.to_seconds()),
+              std::bit_cast<std::uint64_t>(original[k].deadline.to_seconds()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded[k].volume.to_bytes()),
+              std::bit_cast<std::uint64_t>(original[k].volume.to_bytes()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded[k].max_rate.to_bytes_per_second()),
+              std::bit_cast<std::uint64_t>(original[k].max_rate.to_bytes_per_second()));
   }
 }
 
