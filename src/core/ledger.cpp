@@ -116,27 +116,4 @@ double CounterLedger::egress_util_with(EgressId e, Bandwidth bw) const {
   return (egress_.at(e.value) + bw) / network_->egress_capacity(e);
 }
 
-AdmissionLedger::AdmissionLedger(const Network& network, std::size_t request_count)
-    : counters_{network}, admitted_(request_count, Bandwidth::zero()) {}
-
-// gridbw:hot
-bool AdmissionLedger::try_admit(std::size_t k, IngressId i, EgressId e, Bandwidth bw) {
-  if (!counters_.fits(i, e, bw)) return false;
-  counters_.allocate(i, e, bw);
-  admitted_.at(k) = bw;
-  return true;
-}
-
-void AdmissionLedger::drop(std::size_t k, IngressId i, EgressId e) {
-  Bandwidth& held = admitted_.at(k);
-  if (!held.is_positive()) return;
-  counters_.reclaim(i, e, held);
-  held = Bandwidth::zero();
-}
-
-void AdmissionLedger::reset() {
-  counters_.reset();
-  std::fill(admitted_.begin(), admitted_.end(), Bandwidth::zero());
-}
-
 }  // namespace gridbw

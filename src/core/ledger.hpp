@@ -18,13 +18,6 @@
 //    Algorithms 2 and 3): one running counter per port, increased on accept
 //    and reclaimed when a transfer finishes. Valid only for *online* use
 //    where all active allocations share the current instant.
-//
-//  * AdmissionLedger — the incremental slice-sweep book used by the
-//    *-SLOTS heuristics: CounterLedger counters that survive across time
-//    slices, plus the per-request admitted bandwidth so that a departure
-//    (finish delta) or retro-removal (release delta) subtracts exactly what
-//    the request contributed instead of reconstructing the counters from
-//    scratch each slice.
 
 #pragma once
 
@@ -151,46 +144,6 @@ class CounterLedger {
   std::vector<Bandwidth> ingress_;
   std::vector<Bandwidth> egress_;
   obs::Observer* observer_{nullptr};
-};
-
-/// Incremental admission book for slice sweeps over a fixed request set.
-///
-/// Requests are addressed by their dense index k in [0, request_count).
-/// The book remembers, for every admitted request, the bandwidth it holds on
-/// its two ports, so the sweep can apply *deltas* at slice boundaries:
-/// `drop` subtracts a departing or retro-removed request's contribution, and
-/// `try_admit` re-runs the greedy fit-then-allocate step for exactly the
-/// suffix of the per-slice order whose decisions can have changed. Port
-/// counters are never rebuilt from scratch.
-class AdmissionLedger {
- public:
-  AdmissionLedger(const Network& network, std::size_t request_count);
-
-  /// Greedy admission step: if `bw` fits on (i, e) given all currently
-  /// admitted allocations, records it for request `k` and returns true.
-  /// `k` must not already be admitted.
-  bool try_admit(std::size_t k, IngressId i, EgressId e, Bandwidth bw);
-
-  /// Subtracts request `k`'s admitted bandwidth from its ports (finish or
-  /// retro-removal delta). No-op if `k` is not admitted.
-  void drop(std::size_t k, IngressId i, EgressId e);
-
-  [[nodiscard]] bool is_admitted(std::size_t k) const {
-    return admitted_.at(k).is_positive();
-  }
-  [[nodiscard]] Bandwidth admitted_bw(std::size_t k) const { return admitted_.at(k); }
-
-  /// Forgets every admission and zeroes the counters in place.
-  void reset();
-
-  /// Forwards the drift-anomaly observer to the underlying counters.
-  void attach_observer(obs::Observer* observer) { counters_.attach_observer(observer); }
-
-  [[nodiscard]] const CounterLedger& counters() const { return counters_; }
-
- private:
-  CounterLedger counters_;
-  std::vector<Bandwidth> admitted_;  // zero = not admitted
 };
 
 }  // namespace gridbw

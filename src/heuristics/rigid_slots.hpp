@@ -40,9 +40,11 @@ enum class SlotCost {
 /// schedules (enforced by the differential tests in
 /// incremental_engine_test.cpp): kRebuild is the paper-literal reference
 /// that re-sorts the active set and rebuilds fresh counters every slice;
-/// kIncremental keeps the sorted active set and the per-port counters alive
-/// across slices, applies release/finish deltas at boundaries, and replays
-/// only the suffix of the order whose decisions can have changed.
+/// kIncremental, one kernel for all three costs, keeps the active set and
+/// the per-port counters alive across slices, applies release/finish deltas
+/// at boundaries, admits newcomers that fit on top of the total load, and
+/// otherwise replays only the members at and after the cheapest newcomer in
+/// (cost, id) order.
 enum class SlotsEngine {
   kRebuild,      // reference: fresh CounterLedger + full sort per slice
   kIncremental,  // default: delta-maintained counters + suffix replay
@@ -58,10 +60,11 @@ struct SlotsTelemetry {
   std::size_t admission_checks{0};  ///< fits/allocate decisions evaluated
 };
 
-/// The cost factor of request `r` on slice [t1, t2] under `cost`.
-/// Exposed for tests and the microbenchmarks.
+/// The cost factor of request `r` on the slice ending at `t2` under `cost`
+/// (only CUMULATED's depends on it). Exposed for tests and the
+/// microbenchmarks.
 [[nodiscard]] double slot_cost(const Network& network, const Request& r, SlotCost cost,
-                               TimePoint t1, TimePoint t2);
+                               TimePoint t2);
 
 /// Runs the slice sweep with the default (incremental) engine.
 [[nodiscard]] ScheduleResult schedule_rigid_slots(const Network& network,

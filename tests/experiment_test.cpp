@@ -93,20 +93,23 @@ TEST(RunReplicated, RejectsZeroReplications) {
                std::invalid_argument);
 }
 
+/// "t<task>/r<rep>". Built by append: GCC 12 reports a false -Wrestrict on
+/// `"t" + std::to_string(...)`.
+std::string task_metric(std::size_t t, std::size_t rep) {
+  return std::string{"t"}.append(std::to_string(t)).append("/r").append(std::to_string(rep));
+}
+
 TEST(RunReplicatedTasks, EveryTaskOfAReplicationSeesTheSameStream) {
   ExperimentConfig cfg;
   cfg.replications = 5;
   cfg.threads = 1;
   const auto out = run_replicated_tasks(cfg, 3, [](Rng& rng, std::size_t rep, std::size_t t) {
-    return MetricBag{{"t" + std::to_string(t) + "/r" + std::to_string(rep),
-                      rng.uniform01()}};
+    return MetricBag{{task_metric(t, rep), rng.uniform01()}};
   });
   for (std::size_t rep = 0; rep < 5; ++rep) {
-    const double first =
-        metric(out.metrics, "t0/r" + std::to_string(rep)).mean();
+    const double first = metric(out.metrics, task_metric(0, rep)).mean();
     for (std::size_t t = 1; t < 3; ++t) {
-      EXPECT_DOUBLE_EQ(
-          first, metric(out.metrics, "t" + std::to_string(t) + "/r" + std::to_string(rep)).mean());
+      EXPECT_DOUBLE_EQ(first, metric(out.metrics, task_metric(t, rep)).mean());
     }
   }
 }

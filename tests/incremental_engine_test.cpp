@@ -50,6 +50,10 @@ std::vector<std::tuple<RequestId, double, double>> fingerprint(
 
 constexpr std::uint64_t kSeeds[] = {11, 4242, 987654321};
 
+constexpr heuristics::SlotCost kAllCosts[] = {heuristics::SlotCost::kCumulated,
+                                              heuristics::SlotCost::kMinBandwidth,
+                                              heuristics::SlotCost::kMinVolume};
+
 class SlotsEngineDifferential
     : public ::testing::TestWithParam<heuristics::SlotCost> {};
 
@@ -80,9 +84,7 @@ TEST_P(SlotsEngineDifferential, IncrementalMatchesRebuildOnRandomWorkloads) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSlotCosts, SlotsEngineDifferential,
-                         ::testing::Values(heuristics::SlotCost::kCumulated,
-                                           heuristics::SlotCost::kMinBandwidth,
-                                           heuristics::SlotCost::kMinVolume));
+                         ::testing::ValuesIn(kAllCosts));
 
 TEST(SlotsEngineDifferential, DefaultOverloadIsTheIncrementalEngine) {
   const workload::Scenario scenario =
@@ -141,9 +143,7 @@ TEST(AdmissionChecksContract, CountsLedgerProbesOnlyInEveryEngine) {
       shared_window(RequestId{4}, 100.0, 20.0),  // min rate 10 <= cap 20
   };
 
-  for (const auto cost : {heuristics::SlotCost::kCumulated,
-                          heuristics::SlotCost::kMinBandwidth,
-                          heuristics::SlotCost::kMinVolume}) {
+  for (const auto cost : kAllCosts) {
     for (const auto engine :
          {heuristics::SlotsEngine::kRebuild, heuristics::SlotsEngine::kIncremental}) {
       heuristics::SlotsTelemetry tm;
@@ -160,8 +160,10 @@ TEST(AdmissionChecksContract, CountsLedgerProbesOnlyInEveryEngine) {
 }
 
 // ---------------------------------------------------------------------------
-// CUMULATED kernel: the suffix filter, same-instant batches, heap departures
-// and retro-removals, each against the rebuild oracle.
+// The incremental kernel (the suite is named for CUMULATED, the cost it was
+// first written for): the suffix filter, same-instant batches, heap
+// departures, retro-removals and the fit-the-total step, each under all
+// three costs against the rebuild oracle.
 // ---------------------------------------------------------------------------
 
 /// Records when each preemption (retro-removal of a request that held
@@ -175,37 +177,37 @@ class PreemptionClock : public obs::TraceSink {
   std::vector<double> at;
 };
 
-struct CumulatedRun {
+struct SlotsRun {
   ScheduleResult result;
   heuristics::SlotsTelemetry tm;
   std::vector<double> preempted_at;
 };
 
-CumulatedRun run_cumulated(const Network& net, std::span<const Request> requests,
-                           heuristics::SlotsEngine engine) {
+SlotsRun run_slots(const Network& net, std::span<const Request> requests,
+                   heuristics::SlotCost cost, heuristics::SlotsEngine engine) {
   PreemptionClock clock;
   obs::Observer observer{&clock, nullptr};
-  CumulatedRun run;
-  run.result = heuristics::schedule_rigid_slots(
-      net, requests, heuristics::SlotCost::kCumulated, engine, &run.tm, &observer);
+  SlotsRun run;
+  run.result = heuristics::schedule_rigid_slots(net, requests, cost, engine, &run.tm,
+                                                &observer);
   run.preempted_at = std::move(clock.at);
   std::sort(run.preempted_at.begin(), run.preempted_at.end());
   return run;
 }
 
-/// Runs CUMULATED under both engines and requires the same schedule, the
-/// same preemptions (when and how many), the same slice count and no more
+/// Runs `cost` under both engines and requires the same schedule, the same
+/// preemptions (when and how many), the same slice count and no more
 /// admission work in the incremental kernel. Returns the incremental run.
-CumulatedRun expect_cumulated_engines_agree(const Network& net,
-                                            std::span<const Request> requests,
-                                            const std::string& what) {
-  const CumulatedRun reference =
-      run_cumulated(net, requests, heuristics::SlotsEngine::kRebuild);
-  CumulatedRun fast = run_cumulated(net, requests, heuristics::SlotsEngine::kIncremental);
-  EXPECT_EQ(fingerprint(reference.result), fingerprint(fast.result)) << what;
-  EXPECT_EQ(reference.preempted_at, fast.preempted_at) << what;
-  EXPECT_EQ(reference.tm.slices, fast.tm.slices) << what;
-  EXPECT_LE(fast.tm.admission_checks, reference.tm.admission_checks) << what;
+SlotsRun expect_engines_agree(const Network& net, std::span<const Request> requests,
+                              heuristics::SlotCost cost, const std::string& what) {
+  const SlotsRun reference =
+      run_slots(net, requests, cost, heuristics::SlotsEngine::kRebuild);
+  SlotsRun fast = run_slots(net, requests, cost, heuristics::SlotsEngine::kIncremental);
+  const std::string label = to_string(cost) + " " + what;
+  EXPECT_EQ(fingerprint(reference.result), fingerprint(fast.result)) << label;
+  EXPECT_EQ(reference.preempted_at, fast.preempted_at) << label;
+  EXPECT_EQ(reference.tm.slices, fast.tm.slices) << label;
+  EXPECT_LE(fast.tm.admission_checks, reference.tm.admission_checks) << label;
   return fast;
 }
 
@@ -232,10 +234,8 @@ bool accepted(const ScheduleResult& result, RequestId id) {
 /// A contest on one port pair per case j, each in its own slice
 /// [10j + 1, 10j + 2): an admitted member `m` (released at 10j, window 2w)
 /// meets a newcomer `n` (released at 10j + 1, window w), the slice's only
-/// newcomer and so its lead, and the port fits only one of them. Both
-/// costs are ratio / fl(1 / w), so with volume(m) = 2 * volume(n) they tie
-/// bit for bit; `m_scale` moves m's cost off the tie. A dummy request on
-/// the last port puts a boundary at 10j + 2.
+/// newcomer and so its lead, and the port fits only one of them. A dummy
+/// request on the last port puts a boundary at 10j + 2.
 struct Contest {
   Request m, n;
 };
@@ -245,16 +245,18 @@ struct Contests {
   std::vector<Request> requests;  // every m and n, and the dummies
   std::vector<Contest> cases;
 
-  /// The CUMULATED costs of m and n on the contest slice.
-  [[nodiscard]] std::pair<double, double> costs(const Contest& c) const {
-    const TimePoint t1 = c.n.release;
-    const TimePoint t2 = TimePoint::at_seconds(t1.to_seconds() + 1.0);
-    const auto cost = heuristics::SlotCost::kCumulated;
-    return {heuristics::slot_cost(net, c.m, cost, t1, t2),
-            heuristics::slot_cost(net, c.n, cost, t1, t2)};
+  /// The costs of m and n on the contest slice.
+  [[nodiscard]] std::pair<double, double> costs(const Contest& c,
+                                                heuristics::SlotCost cost) const {
+    const TimePoint t2 = TimePoint::at_seconds(c.n.release.to_seconds() + 1.0);
+    return {heuristics::slot_cost(net, c.m, cost, t2),
+            heuristics::slot_cost(net, c.n, cost, t2)};
   }
 };
 
+/// Both costs are ratio / fl(1 / w), so with volume(m) = 2 * volume(n)
+/// CUMULATED (and MINBW: same rate) ties bit for bit; `m_scale` moves m's
+/// cost off the tie. MINVOL never ties: m's volume is double.
 Contests make_contests(std::span<const double> m_scale) {
   constexpr double kWindows[] = {100.0, 37.0, 3.0, 1000.0, 7.5};
   // Per scale: each window, each id order.
@@ -283,28 +285,38 @@ Contests make_contests(std::span<const double> m_scale) {
 /// The member wins its contest iff it sorts before the newcomer by
 /// (cost, id) on the contest slice.
 void expect_contests_decided_by_cost_then_id(const Contests& contests,
+                                             heuristics::SlotCost cost,
                                              const ScheduleResult& result) {
   for (std::size_t j = 0; j < contests.cases.size(); ++j) {
     const Contest& c = contests.cases[j];
-    const auto [cm, cn] = contests.costs(c);
+    const auto [cm, cn] = contests.costs(c, cost);
     const bool member_first = cm < cn || (cm == cn && c.m.id < c.n.id);
-    EXPECT_EQ(accepted(result, c.m.id), member_first) << "contest " << j;
-    EXPECT_EQ(accepted(result, c.n.id), !member_first) << "contest " << j;
+    EXPECT_EQ(accepted(result, c.m.id), member_first) << to_string(cost) << " contest " << j;
+    EXPECT_EQ(accepted(result, c.n.id), !member_first) << to_string(cost) << " contest " << j;
   }
 }
 
 TEST(CumulatedKernel, ExactCostTiesAtLeadAreBrokenById) {
   const std::vector<double> scale(6, 1.0);
   const Contests contests = make_contests(scale);
-  for (const Contest& c : contests.cases) {
-    const auto [cm, cn] = contests.costs(c);
-    ASSERT_EQ(cm, cn);
+  for (const auto cost : kAllCosts) {
+    const bool ties = cost != heuristics::SlotCost::kMinVolume;
+    for (const Contest& c : contests.cases) {
+      const auto [cm, cn] = contests.costs(c, cost);
+      if (ties) {
+        ASSERT_EQ(cm, cn) << to_string(cost);
+      } else {
+        ASSERT_GT(cm, cn) << to_string(cost);
+      }
+    }
+    const SlotsRun run =
+        expect_engines_agree(contests.net, contests.requests, cost, "exact ties");
+    expect_contests_decided_by_cost_then_id(contests, cost, run.result);
+    // Every member that lost had held its port since its release.
+    EXPECT_EQ(run.preempted_at.size(),
+              ties ? contests.cases.size() / 2 : contests.cases.size())
+        << to_string(cost);
   }
-  const CumulatedRun run =
-      expect_cumulated_engines_agree(contests.net, contests.requests, "exact ties");
-  expect_contests_decided_by_cost_then_id(contests, run.result);
-  // Every member that lost had held its port since its release.
-  EXPECT_EQ(run.preempted_at.size(), contests.cases.size() / 2);
 }
 
 TEST(CumulatedKernel, CostsWithin1e9OfLeadAreDecidedExactly) {
@@ -323,9 +335,11 @@ TEST(CumulatedKernel, CostsWithin1e9OfLeadAreDecidedExactly) {
     scale.push_back(down);
   }
   const Contests contests = make_contests(scale);
-  const CumulatedRun run =
-      expect_cumulated_engines_agree(contests.net, contests.requests, "near ties");
-  expect_contests_decided_by_cost_then_id(contests, run.result);
+  for (const auto cost : kAllCosts) {
+    const SlotsRun run =
+        expect_engines_agree(contests.net, contests.requests, cost, "near ties");
+    expect_contests_decided_by_cost_then_id(contests, cost, run.result);
+  }
 }
 
 /// Requests on a coarse time grid: `instants` release times `spacing` apart,
@@ -355,12 +369,14 @@ std::vector<Request> grid_workload(std::uint64_t seed, std::size_t ports,
 
 TEST(CumulatedKernel, SameInstantBatchesOfManyNewcomers) {
   const Network net = Network::uniform(3, 3, Bandwidth::megabytes_per_second(100));
-  for (const std::uint64_t seed : kSeeds) {
-    const auto requests = grid_workload(seed, 3, 25, 7.0, 40, 60);
-    const CumulatedRun run = expect_cumulated_engines_agree(
-        net, requests, "batches seed=" + std::to_string(seed));
-    EXPECT_FALSE(run.result.rejected.empty());
-    EXPECT_FALSE(run.preempted_at.empty());
+  for (const auto cost : kAllCosts) {
+    for (const std::uint64_t seed : kSeeds) {
+      const auto requests = grid_workload(seed, 3, 25, 7.0, 40, 60);
+      const SlotsRun run = expect_engines_agree(net, requests, cost,
+                                                "batches seed=" + std::to_string(seed));
+      EXPECT_FALSE(run.result.rejected.empty());
+      EXPECT_FALSE(run.preempted_at.empty());
+    }
   }
 }
 
@@ -368,33 +384,138 @@ TEST(CumulatedKernel, DeparturesAndRetroRemovalsAtOneBoundary) {
   // Integer releases and windows of 1-6 s: most boundaries are at once a
   // deadline (a heap departure), a release, and a preemption instant.
   const Network net = Network::uniform(2, 2, Bandwidth::megabytes_per_second(100));
-  std::size_t shared_boundaries = 0;
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const auto requests = grid_workload(seed, 2, 40, 1.0, 4, 6);
-    const CumulatedRun run = expect_cumulated_engines_agree(
-        net, requests, "boundaries seed=" + std::to_string(seed));
-    for (const double t : run.preempted_at) {
-      const bool departure = std::any_of(requests.begin(), requests.end(), [&](const Request& r) {
-        return r.deadline.to_seconds() == t;
-      });
-      if (departure) ++shared_boundaries;
+  for (const auto cost : kAllCosts) {
+    std::size_t shared_boundaries = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const auto requests = grid_workload(seed, 2, 40, 1.0, 4, 6);
+      const SlotsRun run = expect_engines_agree(net, requests, cost,
+                                                "boundaries seed=" + std::to_string(seed));
+      for (const double t : run.preempted_at) {
+        const bool departure =
+            std::any_of(requests.begin(), requests.end(),
+                        [&](const Request& r) { return r.deadline.to_seconds() == t; });
+        if (departure) ++shared_boundaries;
+      }
     }
+    EXPECT_GT(shared_boundaries, 0u) << to_string(cost);
   }
-  EXPECT_GT(shared_boundaries, 0u);
 }
 
 TEST(CumulatedKernel, MatchesRebuildOnA20kPaperWorkloadAtLoad3) {
-  for (const std::uint64_t seed : kSeeds) {
-    workload::Scenario s =
-        workload::paper_rigid(Duration::seconds(1), Duration::seconds(1));
-    s.spec.mean_interarrival = workload::interarrival_for_load(s.spec, s.network, 3.0);
-    s.spec.horizon = s.spec.mean_interarrival * 20000.0;
-    Rng rng{seed};
-    const auto requests = workload::generate(s.spec, rng);
-    ASSERT_GT(requests.size(), 19000u);
-    const CumulatedRun run = expect_cumulated_engines_agree(
-        s.network, requests, "paper_rigid 20k seed=" + std::to_string(seed));
-    EXPECT_FALSE(run.preempted_at.empty());
+  for (const auto cost : kAllCosts) {
+    for (const std::uint64_t seed : kSeeds) {
+      workload::Scenario s =
+          workload::paper_rigid(Duration::seconds(1), Duration::seconds(1));
+      s.spec.mean_interarrival = workload::interarrival_for_load(s.spec, s.network, 3.0);
+      s.spec.horizon = s.spec.mean_interarrival * 20000.0;
+      Rng rng{seed};
+      const auto requests = workload::generate(s.spec, rng);
+      ASSERT_GT(requests.size(), 19000u);
+      const SlotsRun run = expect_engines_agree(
+          s.network, requests, cost, "paper_rigid 20k seed=" + std::to_string(seed));
+      EXPECT_FALSE(run.preempted_at.empty());
+    }
+  }
+}
+
+constexpr double kMB = 1e6;
+
+TEST(CumulatedKernel, StaticCostTiesAreBrokenById) {
+  // Two 100 MB/s port pairs, each held from t = 0 by a cheap p (10 MB/s)
+  // and a member m (60 MB/s), and joined at t = 10 by a newcomer n with
+  // m's window length and volume, hence its rate: MINBW and MINVOL tie m
+  // and n bit for bit, and each port fits only one. On port 0 n has the
+  // smaller id and displaces m; on port 1 m has the smaller id, below even
+  // the lead's (n0), and stands untouched. CUMULATED favours both m, which
+  // have served part of their windows. Probes, static: p0, m0, p1, m1;
+  // n0 (fails the total); n0, m0, n1 (replay) = 8. CUMULATED: 4; n0;
+  // n0, n1 = 7.
+  const Network net = Network::uniform(2, 2, Bandwidth::megabytes_per_second(100));
+  const Request p0 = uncapped(0, 0, 0.0, 100.0, 10 * kMB * 100);
+  const Request m1 = uncapped(1, 1, 0.0, 50.0, 60 * kMB * 50);
+  const Request n0 = uncapped(2, 0, 10.0, 60.0, 60 * kMB * 50);
+  const Request m0 = uncapped(3, 0, 0.0, 50.0, 60 * kMB * 50);
+  const Request p1 = uncapped(4, 1, 0.0, 100.0, 10 * kMB * 100);
+  const Request n1 = uncapped(5, 1, 10.0, 60.0, 60 * kMB * 50);
+  const std::vector<Request> requests = {p0, m1, n0, m0, p1, n1};
+  for (const auto cost : kAllCosts) {
+    const bool dynamic = cost == heuristics::SlotCost::kCumulated;
+    const TimePoint t2 = TimePoint::at_seconds(50);
+    for (const auto& [m, n] : {std::pair{m0, n0}, std::pair{m1, n1}}) {
+      const double cm = heuristics::slot_cost(net, m, cost, t2);
+      const double cn = heuristics::slot_cost(net, n, cost, t2);
+      if (dynamic) {
+        ASSERT_LT(cm, cn);
+      } else {
+        ASSERT_EQ(cm, cn) << to_string(cost);
+      }
+    }
+    const SlotsRun run = expect_engines_agree(net, requests, cost, "static ties");
+    auto rejected = run.result.rejected;
+    std::sort(rejected.begin(), rejected.end());
+    const std::vector<RequestId> losers =
+        dynamic ? std::vector<RequestId>{n0.id, n1.id} : std::vector<RequestId>{m0.id, n1.id};
+    const std::vector<double> preempted =
+        dynamic ? std::vector<double>{} : std::vector<double>{10.0};
+    EXPECT_EQ(rejected, losers) << to_string(cost);
+    EXPECT_EQ(run.preempted_at, preempted) << to_string(cost);
+    EXPECT_EQ(run.tm.admission_checks, dynamic ? 7u : 8u) << to_string(cost);
+  }
+}
+
+TEST(CumulatedKernel, NewcomersThatFitTheTotalMidOrderNeedNoReplay) {
+  // One 100 MB/s port pair. Members a (30 MB/s) and b (5 MB/s) hold it from
+  // t = 0; newcomers c (10 MB/s, at 10) and d (15 MB/s, at 20) arrive with
+  // costs between b's and a's under every cost, and the four together use
+  // 60 MB/s. Each newcomer fits on top of the total, so no slice replays
+  // anything: every request is probed once, on arrival. Replaying from a
+  // newcomer would re-probe a, which sorts after it.
+  const Network net = Network::uniform(1, 1, Bandwidth::megabytes_per_second(100));
+  const Request a = uncapped(0, 0, 0.0, 100.0, 30 * kMB * 100);
+  const Request b = uncapped(1, 0, 0.0, 100.0, 5 * kMB * 100);
+  const Request c = uncapped(2, 0, 10.0, 70.0, 10 * kMB * 60);
+  const Request d = uncapped(3, 0, 20.0, 80.0, 15 * kMB * 60);
+  const std::vector<Request> requests = {a, b, c, d};
+  for (const auto cost : kAllCosts) {
+    // Mid-order on arrival: the slices [10, 20) and [20, 70).
+    const auto at = [](double t) { return TimePoint::at_seconds(t); };
+    ASSERT_LT(heuristics::slot_cost(net, b, cost, at(20)),
+              heuristics::slot_cost(net, c, cost, at(20)));
+    ASSERT_LT(heuristics::slot_cost(net, c, cost, at(20)),
+              heuristics::slot_cost(net, a, cost, at(20)));
+    ASSERT_LT(heuristics::slot_cost(net, d, cost, at(70)),
+              heuristics::slot_cost(net, a, cost, at(70)));
+    const SlotsRun run = expect_engines_agree(net, requests, cost, "fit the total");
+    EXPECT_TRUE(run.result.rejected.empty()) << to_string(cost);
+    EXPECT_EQ(run.tm.admission_checks, requests.size()) << to_string(cost);
+  }
+}
+
+TEST(CumulatedKernel, ShortcutAdmissionsStandWhenALaterNewcomerFails) {
+  // One 100 MB/s port pair. Members p (4 MB/s) and m (50 MB/s) hold it from
+  // t = 0. At t = 10 a batch arrives: n1 (10), n2 (20) and n3 (45 MB/s),
+  // all cheaper than m and dearer than p under every cost. n1 and n2 fit on
+  // top of the total; n3 does not, but it fits ahead of m, so the replay
+  // starts at n3 and displaces m. n1 and n2 stand: the replay probes only
+  // n3 and m. Probes: p, m; n1, n2, n3 (shortcut); n3, m (replay) = 7.
+  const Network net = Network::uniform(1, 1, Bandwidth::megabytes_per_second(100));
+  const Request p = uncapped(0, 0, 0.0, 100.0, 4 * kMB * 100);
+  const Request m = uncapped(1, 0, 0.0, 100.0, 50 * kMB * 100);
+  const Request n1 = uncapped(2, 0, 10.0, 60.0, 10 * kMB * 50);
+  const Request n2 = uncapped(3, 0, 10.0, 60.0, 20 * kMB * 50);
+  const Request n3 = uncapped(4, 0, 10.0, 60.0, 45 * kMB * 50);
+  const std::vector<Request> requests = {p, m, n1, n2, n3};
+  for (const auto cost : kAllCosts) {
+    const TimePoint t2 = TimePoint::at_seconds(60);
+    const std::vector<double> costs = {
+        heuristics::slot_cost(net, p, cost, t2), heuristics::slot_cost(net, n1, cost, t2),
+        heuristics::slot_cost(net, n2, cost, t2), heuristics::slot_cost(net, n3, cost, t2),
+        heuristics::slot_cost(net, m, cost, t2)};
+    ASSERT_TRUE(std::is_sorted(costs.begin(), costs.end())) << to_string(cost);
+    const SlotsRun run = expect_engines_agree(net, requests, cost, "partial shortcut");
+    EXPECT_EQ(run.result.rejected, std::vector<RequestId>{m.id}) << to_string(cost);
+    EXPECT_EQ(run.preempted_at, std::vector<double>{10.0}) << to_string(cost);
+    EXPECT_EQ(run.tm.admission_checks, 7u) << to_string(cost);
   }
 }
 

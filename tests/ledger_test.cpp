@@ -309,51 +309,5 @@ TEST_F(CounterLedgerTest, ResetZeroesInPlace) {
   EXPECT_EQ(counters_.allocated_egress(EgressId{1}), Bandwidth::zero());
 }
 
-class AdmissionLedgerTest : public ::testing::Test {
- protected:
-  Network net_ = Network::uniform(2, 2, mbps(100));
-  AdmissionLedger book_{net_, 4};
-};
-
-TEST_F(AdmissionLedgerTest, TryAdmitAllocatesAndRecords) {
-  EXPECT_TRUE(book_.try_admit(0, IngressId{0}, EgressId{0}, mbps(60)));
-  EXPECT_TRUE(book_.is_admitted(0));
-  EXPECT_EQ(book_.admitted_bw(0), mbps(60));
-  EXPECT_EQ(book_.counters().allocated_ingress(IngressId{0}), mbps(60));
-}
-
-TEST_F(AdmissionLedgerTest, TryAdmitRejectsWithoutSideEffects) {
-  EXPECT_TRUE(book_.try_admit(0, IngressId{0}, EgressId{0}, mbps(80)));
-  EXPECT_FALSE(book_.try_admit(1, IngressId{0}, EgressId{1}, mbps(30)));
-  EXPECT_FALSE(book_.is_admitted(1));
-  EXPECT_EQ(book_.counters().allocated_ingress(IngressId{0}), mbps(80));
-  EXPECT_EQ(book_.counters().allocated_egress(EgressId{1}), Bandwidth::zero());
-}
-
-TEST_F(AdmissionLedgerTest, DropReclaimsExactlyOnce) {
-  ASSERT_TRUE(book_.try_admit(0, IngressId{0}, EgressId{0}, mbps(80)));
-  book_.drop(0, IngressId{0}, EgressId{0});
-  EXPECT_FALSE(book_.is_admitted(0));
-  EXPECT_EQ(book_.counters().allocated_ingress(IngressId{0}), Bandwidth::zero());
-  // A second drop of the same member must be a no-op.
-  book_.drop(0, IngressId{0}, EgressId{0});
-  EXPECT_EQ(book_.counters().allocated_ingress(IngressId{0}), Bandwidth::zero());
-  EXPECT_TRUE(book_.try_admit(1, IngressId{0}, EgressId{0}, mbps(100)));
-}
-
-TEST_F(AdmissionLedgerTest, DropOfNeverAdmittedIsNoOp) {
-  book_.drop(3, IngressId{1}, EgressId{1});
-  EXPECT_EQ(book_.counters().allocated_ingress(IngressId{1}), Bandwidth::zero());
-}
-
-TEST_F(AdmissionLedgerTest, ResetClearsEverything) {
-  ASSERT_TRUE(book_.try_admit(0, IngressId{0}, EgressId{0}, mbps(50)));
-  ASSERT_TRUE(book_.try_admit(1, IngressId{1}, EgressId{1}, mbps(50)));
-  book_.reset();
-  EXPECT_FALSE(book_.is_admitted(0));
-  EXPECT_FALSE(book_.is_admitted(1));
-  EXPECT_TRUE(book_.try_admit(2, IngressId{0}, EgressId{0}, mbps(100)));
-}
-
 }  // namespace
 }  // namespace gridbw

@@ -89,16 +89,16 @@ TEST(RigidFcfs, AssignsMinRateOverFullWindow) {
 TEST(SlotCostFactors, CumulatedFormula) {
   const Network net = Network::uniform(1, 1, mbps(100));
   const Request r = rigid(1, 0, 100, 50);
-  // On slice [50, 60]: priority = 60/100 = 0.6; b_min = 100 MB/s.
+  // On the slice ending at 60: priority = 60/100 = 0.6; b_min = 100 MB/s.
   // cost = (50/100) / 0.6 = 0.8333...
-  EXPECT_NEAR(slot_cost(net, r, SlotCost::kCumulated, at(50), at(60)), 0.5 / 0.6, 1e-9);
+  EXPECT_NEAR(slot_cost(net, r, SlotCost::kCumulated, at(60)), 0.5 / 0.6, 1e-9);
 }
 
 TEST(SlotCostFactors, MinBwAndMinVol) {
   const Network net = Network::uniform(1, 1, mbps(100));
   const Request r = rigid(1, 0, 100, 50);
-  EXPECT_DOUBLE_EQ(slot_cost(net, r, SlotCost::kMinBandwidth, at(0), at(1)), 5e7);
-  EXPECT_DOUBLE_EQ(slot_cost(net, r, SlotCost::kMinVolume, at(0), at(1)),
+  EXPECT_DOUBLE_EQ(slot_cost(net, r, SlotCost::kMinBandwidth, at(1)), 5e7);
+  EXPECT_DOUBLE_EQ(slot_cost(net, r, SlotCost::kMinVolume, at(1)),
                    r.volume.to_bytes());
 }
 
@@ -107,8 +107,8 @@ TEST(SlotCostFactors, CumulatedPrefersShorterRequestsAtEqualStart) {
   const Request short_r = rigid(1, 0, 10, 50);
   const Request long_r = rigid(2, 0, 100, 50);
   // First slice [0, 10]: the short request has priority 1, the long 0.1.
-  EXPECT_LT(slot_cost(net, short_r, SlotCost::kCumulated, at(0), at(10)),
-            slot_cost(net, long_r, SlotCost::kCumulated, at(0), at(10)));
+  EXPECT_LT(slot_cost(net, short_r, SlotCost::kCumulated, at(10)),
+            slot_cost(net, long_r, SlotCost::kCumulated, at(10)));
 }
 
 TEST(RigidSlots, BeatsFcfsOnTheBlockingPattern) {

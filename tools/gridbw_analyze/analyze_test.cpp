@@ -505,7 +505,7 @@ TEST(WholeTree, EveryHotAnnotationBindsASymbol) {
     }
   }
   const TreeReport report = analyze_tree(GRIDBW_ANALYZE_REPO_ROOT, Options{});
-  EXPECT_GE(annotations, 19u);
+  EXPECT_GE(annotations, 18u);
   EXPECT_EQ(report.hot_roots, annotations);
 #else
   GTEST_SKIP() << "repo root not wired";
