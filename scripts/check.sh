@@ -3,7 +3,9 @@
 # smoke every bench in --quick mode. Exits non-zero on the first failure.
 #
 #   scripts/check.sh            full pass (build + ctest + bench smoke)
-#   scripts/check.sh --quick    same as the default pass
+#   scripts/check.sh --quick    bench smoke only, over the already-built
+#                               `build` tree (no configure, build or ctest;
+#                               for a job that has just built and tested)
 #   scripts/check.sh --tidy     clang-tidy wall (scripts/tidy.sh, compile-db)
 #   scripts/check.sh --tsan     build with GRIDBW_SANITIZE=thread and run the
 #                               whole suite + TSan stress tests under
@@ -92,8 +94,13 @@ case "$MODE" in
     ;;
 esac
 
-configure_build build
-ctest --test-dir build --output-on-failure
+if [ "$MODE" = full ]; then
+  configure_build build
+  ctest --test-dir build --output-on-failure
+elif [ ! -d build/bench ]; then
+  echo "check.sh --quick: no build/bench; build first (scripts/check.sh does)" >&2
+  exit 2
+fi
 
 for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue

@@ -12,9 +12,28 @@
 // costs never decrease during a drain: its own admissions are the only
 // ledger writes while it runs, and they only add load. So a stale key is a
 // lower bound, and a popped entry whose refreshed cost equals its key is the
-// true minimum. Invariant: `on_admit` must not release ledger bandwidth. The
-// malleable engine keeps it because FluidBook::admit never receives the
-// ledger; its reclaims run in FluidBook::run_until, before the drain.
+// true minimum. Invariant: `on_admit` must not release ledger bandwidth
+// (pop_min asserts it). The malleable engine keeps it because
+// FluidBook::admit never receives the ledger; its reclaims run in
+// FluidBook::run_until, before the drain.
+//
+// The stopping rule. Under kMinCost without the hot-spot penalty the
+// selection cost is the admission test's cost. Once a pick is rejected
+// while the remaining minimum cost is itself above the admission limit,
+// every remaining candidate fails and nothing writes to the ledger again,
+// so each cost is final. The drain then rejects the rest in one pass
+// (reject_rest): each cost is computed once and the entries are sorted by
+// cost. With final costs the heap would emit, again and again, the smallest
+// id among the candidates whose cost is approx_le the remaining minimum m.
+// Those candidates are a prefix of the sorted tail, and since m only rises
+// (and approx_le's tolerance with it) the prefix's end only moves right; so
+// a walk over the sorted tail plus a min-id heap over that prefix emits the
+// heap's exact order. The rule tests the remaining minimum, not only the
+// rejected pick, because a tie is 1e-6 wide and the admission limit
+// 1 + 1e-12: a pick costing 1 + 3e-7 fails while a tied candidate costing 1
+// with a larger id still fits. Under EDF, SJF or a hot-spot penalty a
+// rejection says nothing about the next candidate, and the heap runs to the
+// end.
 
 #pragma once
 
@@ -107,7 +126,11 @@ class WindowSelector {
              CounterLedger& counters, ScheduleResult& result, OnAdmit&& on_admit) {
     start(batch, counters);
     while (const WindowCandidate* chosen = pop_min(counters)) {
-      if (admit_or_reject(*chosen, decision, counters, result, observer_)) on_admit(*chosen);
+      if (admit_or_reject(*chosen, decision, counters, result, observer_)) {
+        on_admit(*chosen);
+      } else if (rest_must_fail()) {
+        reject_rest(decision, counters, result);
+      }
     }
   }
 
@@ -123,12 +146,22 @@ class WindowSelector {
   /// Removes and returns the candidate to decide next; null once none is left.
   const WindowCandidate* pop_min(const CounterLedger& counters);
 
+  /// After a rejection: true when the stopping rule holds (see the file
+  /// comment), so every candidate still in the heap must fail.
+  [[nodiscard]] bool rest_must_fail() const;
+
+  /// Rejects every candidate still in the heap, in the order pop_min would
+  /// decide them, and empties it.
+  void reject_rest(TimePoint decision, const CounterLedger& counters,
+                   ScheduleResult& result);
+
   CandidateOrder order_;
   double hotspot_weight_;
   obs::Observer* observer_;
   std::span<const WindowCandidate> batch_;
   std::vector<Entry> heap_;
   std::vector<Entry> ties_;
+  double last_min_ = 0.0;  // the true minimum cost behind pop_min's last pick
 };
 
 }  // namespace gridbw::heuristics

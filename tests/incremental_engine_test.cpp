@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <sstream>
 #include <span>
 #include <string>
 #include <string_view>
@@ -24,7 +25,9 @@
 #include "heuristics/flexible_window.hpp"
 #include "heuristics/malleable.hpp"
 #include "heuristics/rigid_slots.hpp"
+#include "obs/counters.hpp"
 #include "obs/observer.hpp"
+#include "obs/trace_sink.hpp"
 #include "support/window_scan.hpp"
 #include "workload/generator.hpp"
 #include "workload/load.hpp"
@@ -600,6 +603,60 @@ TEST(WindowEngineDifferential, MinRatePolicyAlsoMatches) {
   EXPECT_EQ(fingerprint(reference), fingerprint(fast));
   EXPECT_EQ(fingerprint(reference),
             fingerprint(rigid_malleable_window(scenario, requests, opt)));
+}
+
+struct TracedWindow {
+  std::vector<RequestId> rejected;  // in decision order
+  std::string trace;                // the JSONL event stream
+};
+
+template <typename Schedule>
+TracedWindow traced_window(Schedule&& schedule) {
+  std::ostringstream out;
+  obs::JsonlSink sink{out};
+  obs::CounterRegistry registry;
+  obs::Observer observer{&sink, &registry};
+  const ScheduleResult result = schedule(&observer);
+  sink.flush();
+  return TracedWindow{result.rejected, out.str()};
+}
+
+TEST(WindowEngineDifferential, HeavyLoadRejectionOrderAndTraceMatchScan) {
+  // Fig. 5's heavy end in miniature: 800-2000 candidates per 400 s batch,
+  // of which a few dozen fit, so nearly every decision falls in the drain's
+  // one-pass rejection tail. The fingerprint above sorts `rejected` and
+  // ignores the trace; here both are compared in decision order.
+  for (const double interarrival : {0.2, 0.5}) {
+    for (const std::uint64_t seed : {3u, 17u}) {
+      const workload::Scenario scenario = workload::paper_flexible(
+          Duration::seconds(interarrival), Duration::seconds(4000), 4.0);
+      Rng rng{seed};
+      const auto requests = workload::generate(scenario.spec, rng);
+      heuristics::WindowOptions opt;
+      opt.step = Duration::seconds(400);
+      opt.policy = heuristics::BandwidthPolicy::fraction_of_max(1.0);
+
+      const TracedWindow reference = traced_window([&](obs::Observer* o) {
+        return oracle::schedule_window_by_scan(scenario.network, requests, opt, o);
+      });
+      const TracedWindow fast = traced_window([&](obs::Observer* o) {
+        return heuristics::schedule_flexible_window(scenario.network, requests, opt, o);
+      });
+      ASSERT_GT(reference.rejected.size(), requests.size() / 2)
+          << "ia=" << interarrival << " seed=" << seed;
+      EXPECT_EQ(fast.rejected, reference.rejected)
+          << "ia=" << interarrival << " seed=" << seed;
+      // Not EXPECT_EQ: gtest's line diff of two multi-megabyte traces is quadratic.
+      const auto diverge = std::mismatch(fast.trace.begin(), fast.trace.end(),
+                                         reference.trace.begin(), reference.trace.end());
+      EXPECT_TRUE(fast.trace == reference.trace)
+          << "traces differ from byte " << (diverge.first - fast.trace.begin())
+          << ", ia=" << interarrival << " seed=" << seed;
+      EXPECT_EQ(rigid_malleable_window(scenario, requests, opt).rejected,
+                reference.rejected)
+          << "mwindow ia=" << interarrival << " seed=" << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 // around the old scan/heap crossover (15, 16, 17), a 4096-candidate batch,
 // exact cost ties, ties inside and just outside the approx_le band, ports
 // pre-loaded before the drain, every CandidateOrder, with and without the
-// hot-spot penalty.
+// hot-spot penalty. Further cases pin the stopping rule's one-pass tail:
+// whole batches that fail from the first pick, admissions followed by a
+// tail, a rejected pick whose cheaper tie still fits, and orders under
+// which a rejection is followed by an admission.
 
 #include <gtest/gtest.h>
 
@@ -101,8 +104,8 @@ struct Drained {
   std::uint64_t drains{0};
 };
 
-Drained run_drain(bool heap, const Batch& batch, CandidateOrder order, double hotspot) {
-  const Network net = batch_network();
+Drained run_drain(bool heap, const Batch& batch, CandidateOrder order, double hotspot,
+                  const Network& net = batch_network()) {
   CounterLedger counters{net};
   for (const Preload& p : batch.preload) counters.allocate(p.ingress, p.egress, p.bw);
   std::vector<WindowCandidate> candidates;
@@ -168,6 +171,142 @@ TEST(WindowSelectDifferential, HeapMatchesScanOnAdversarialBatches) {
       }
     }
   }
+}
+
+TEST(WindowSelectDifferential, WholeBatchRejectedFromTheFirstPickMatchesScan) {
+  // Every port starts at or above capacity, so under kMinCost without the
+  // penalty the first pick fails and the whole batch goes through the
+  // one-pass tail. In-band near ties (nudges 1e-12, 3e-7) and shuffled ids
+  // make the band's smallest id often not its cheapest candidate.
+  const Network net = batch_network();
+  for (const std::size_t size : {2u, 17u, 300u}) {
+    for (const double nudge : {0.0, 1e-12, 3e-7}) {
+      for (const std::uint64_t seed : {5u, 77u, 4040u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "size=" << size << " nudge=" << nudge << " seed=" << seed);
+        Batch batch = make_batch(seed, size, nudge);
+        batch.preload.clear();
+        for (std::size_t i = 0; i < net.ingress_count(); ++i) {
+          batch.preload.push_back(
+              Preload{IngressId{i}, EgressId{i % net.egress_count()}, mbps(1000)});
+        }
+        for (std::size_t e = 0; e < net.egress_count(); ++e) {
+          batch.preload.push_back(
+              Preload{IngressId{e % net.ingress_count()}, EgressId{e}, mbps(1000)});
+        }
+        expect_same_decisions(batch);
+        EXPECT_TRUE(
+            run_drain(true, batch, CandidateOrder::kMinCost, 0.0).admitted.empty());
+      }
+    }
+  }
+}
+
+TEST(WindowSelectDifferential, AdmissionsFollowedByATailMatchScan) {
+  // Far more demand than the ports hold: each drain admits a few, then
+  // rejects the rest.
+  for (const std::size_t size : {40u, 300u}) {
+    for (const double nudge : {0.0, 1e-12, 3e-7}) {
+      for (const std::uint64_t seed : {3u, 911u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "size=" << size << " nudge=" << nudge << " seed=" << seed);
+        const Batch batch = make_batch(seed, size, nudge);
+        const Drained drained = run_drain(true, batch, CandidateOrder::kMinCost, 0.0);
+        ASSERT_FALSE(drained.admitted.empty());
+        ASSERT_FALSE(drained.rejected.empty());
+        expect_same_decisions(batch);
+      }
+    }
+  }
+}
+
+/// Two 100 MB/s ingress and egress ports.
+Network pair_network() {
+  return Network{{mbps(100), mbps(100)}, {mbps(100), mbps(100)}};
+}
+
+Request pair_request(std::uint64_t id, std::size_t port, double deadline_s,
+                     double volume_mb) {
+  return RequestBuilder{RequestId{id}}
+      .from(IngressId{port})
+      .to(EgressId{port})
+      .window(TimePoint::origin(), TimePoint::at_seconds(deadline_s))
+      .volume(Volume::megabytes(volume_mb))
+      .max_rate(mbps(200))
+      .build();
+}
+
+TEST(WindowSelectTail, RejectedPickWithACheaperFittingTieIsNotTheStop) {
+  // Both ports of pair 0 and pair 1 carry 90 MB/s. Request 1 (pair 0) costs
+  // 1 + 3e-7 and request 2 (pair 1) exactly 1: a tie inside the 1e-6 band,
+  // so the drain picks request 1 (smallest id) and rejects it, while
+  // request 2 still fits. The rejection must not end the drain.
+  Batch batch;
+  batch.requests = {pair_request(1, 0, 500, 1000), pair_request(2, 1, 500, 1000),
+                    pair_request(3, 0, 500, 1000)};
+  batch.rates = {Bandwidth::bytes_per_second(10e6 + 30.0), mbps(10), mbps(100)};
+  batch.preload = {Preload{IngressId{0}, EgressId{0}, mbps(90)},
+                   Preload{IngressId{1}, EgressId{1}, mbps(90)}};
+  for (const bool heap : {false, true}) {
+    SCOPED_TRACE(heap ? "heap" : "scan");
+    const Drained drained =
+        run_drain(heap, batch, CandidateOrder::kMinCost, 0.0, pair_network());
+    EXPECT_EQ(drained.admitted, std::vector<RequestId>{2});
+    EXPECT_EQ(drained.rejected, (std::vector<RequestId>{1, 3}));
+  }
+}
+
+TEST(WindowSelectTail, OtherOrdersAdmitAfterARejection) {
+  // Request 1 wants 120 MB/s of an empty 100 MB/s pair: it has the earliest
+  // deadline, the shortest transfer (10 s) and, with the hot-spot penalty,
+  // the lowest cost (1.2 against 0.95 + 0.5 * 0.9). It is picked first and
+  // fails; request 2, on the pair pre-loaded to 90 MB/s, then fits. So under
+  // EDF, SJF and hotspot > 0 a rejection proves nothing about the rest.
+  Batch batch;
+  batch.requests = {pair_request(1, 0, 500, 1200), pair_request(2, 1, 1000, 1000)};
+  batch.rates = {mbps(120), mbps(5)};
+  batch.preload = {Preload{IngressId{1}, EgressId{1}, mbps(90)}};
+  const struct {
+    CandidateOrder order;
+    double hotspot;
+  } cases[] = {{CandidateOrder::kEarliestDeadline, 0.0},
+               {CandidateOrder::kShortestJob, 0.0},
+               {CandidateOrder::kMinCost, 0.5}};
+  for (const auto& c : cases) {
+    for (const bool heap : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << to_string(c.order) << " hotspot=" << c.hotspot
+                                        << (heap ? " heap" : " scan"));
+      const Drained drained = run_drain(heap, batch, c.order, c.hotspot, pair_network());
+      EXPECT_EQ(drained.rejected, std::vector<RequestId>{1});
+      EXPECT_EQ(drained.admitted, std::vector<RequestId>{2});
+    }
+  }
+}
+
+TEST(WindowSelectTail, ReleasingBandwidthDuringADrainTripsTheAssert) {
+  // The drain rests on costs never decreasing while it runs. An on_admit
+  // that reclaims the 90 MB/s pre-load of pair 1 lowers request 2's cost
+  // below its heap key; the asserting build stops there. (Without asserts
+  // the drain runs on and decides both.)
+  Batch batch;
+  batch.requests = {pair_request(1, 0, 500, 1000), pair_request(2, 1, 500, 1000)};
+  batch.rates = {mbps(10), mbps(5)};
+  const Network net = pair_network();
+  const auto drain_releasing = [&] {
+    CounterLedger counters{net};
+    counters.allocate(IngressId{1}, EgressId{1}, mbps(90));
+    std::vector<WindowCandidate> candidates = {{&batch.requests[0], batch.rates[0]},
+                                               {&batch.requests[1], batch.rates[1]}};
+    heuristics::WindowSelector selector{CandidateOrder::kMinCost, 0.0, nullptr};
+    ScheduleResult result;
+    bool released = false;
+    selector.drain(candidates, TimePoint::at_seconds(100), counters, result,
+                   [&](const WindowCandidate&) {
+                     if (!released) counters.reclaim(IngressId{1}, EgressId{1}, mbps(90));
+                     released = true;
+                   });
+  };
+  EXPECT_DEBUG_DEATH(drain_releasing(), "a selection cost decreased during a drain");
 }
 
 TEST(WindowSelectDifferential, HeapMatchesScanOnA4096CandidateBatch) {
