@@ -111,9 +111,8 @@ ControlPlaneReport run_control_plane(const OverlayTopology& topology,
       report.response_time_s.add(response.to_seconds());
       log_message(Message{GrantMessage{r.id, now, *bw}});
 
-      // Completion: reclaim and broadcast the release.
-      const Duration transfer = r.volume / *bw;
-      simulator.after(transfer, [&, router, r, bw] {
+      // At τ(r): reclaim and broadcast the release.
+      simulator.at(r.finish_at(now, *bw), [&, router, r, bw] {
         log_message(Message{TearMessage{r.id, r.egress, *bw}});
         truth.reclaim(r.ingress, r.egress, *bw);
         if (r.egress.value != router) {

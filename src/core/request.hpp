@@ -47,6 +47,13 @@ struct Request {
   /// Transfer time at rate `bw`.
   [[nodiscard]] Duration transfer_time(Bandwidth bw) const { return volume / bw; }
 
+  /// τ(r) of a constant-rate transfer started at `start` at rate `bw`:
+  /// start + vol / bw. The one finish expression every engine and the
+  /// schedule share.
+  [[nodiscard]] TimePoint finish_at(TimePoint start, Bandwidth bw) const {
+    return start + volume / bw;
+  }
+
   /// MinRate == MaxRate within tolerance: the request admits exactly one
   /// bandwidth and must occupy its whole window.
   [[nodiscard]] bool is_rigid() const {

@@ -49,7 +49,7 @@ struct Assignment {
   /// τ(r): derived from the volume for constant assignments, explicit for
   /// profiled ones (whose integral carries the volume instead).
   [[nodiscard]] TimePoint end(const Request& r) const {
-    return is_profiled() ? profile.end() : start + r.volume / bw;
+    return is_profiled() ? profile.end() : r.finish_at(start, bw);
   }
 
   /// Invokes fn(t0, t1, rate) for every constant-rate span of the

@@ -60,7 +60,7 @@ struct SearchState {
     // Branch 1..m: accept at each feasible placement (try acceptance first —
     // deeper accepted counts tighten the bound sooner).
     for (const Placement& p : (*placements)[k]) {
-      const TimePoint end = p.start + r.volume / p.bw;
+      const TimePoint end = r.finish_at(p.start, p.bw);
       if (!ledger.fits(r.ingress, r.egress, p.start, end, p.bw)) continue;
       ledger.reserve(r.ingress, r.egress, p.start, end, p.bw);
       chosen[k] = p;

@@ -38,20 +38,20 @@ CompactResult compact_schedule(const Network& network,
                                   std::to_string(a.request)};
     }
     const Request& r = *it->second;
-    const Duration transfer = r.volume / a.bw;
 
     TimePoint chosen = a.start;
     // Probe from the release forward on the grid; stop at the original
     // start (never move later).
     for (TimePoint candidate = r.release; candidate < a.start;
          candidate += options.grid) {
-      if (ledger.fits(r.ingress, r.egress, candidate, candidate + transfer, a.bw)) {
+      if (ledger.fits(r.ingress, r.egress, candidate, r.finish_at(candidate, a.bw),
+                      a.bw)) {
         chosen = candidate;
         break;
       }
     }
 
-    ledger.reserve(r.ingress, r.egress, chosen, chosen + transfer, a.bw);
+    ledger.reserve(r.ingress, r.egress, chosen, r.finish_at(chosen, a.bw), a.bw);
     out.schedule.accept(r.id, chosen, a.bw);
     if (chosen < a.start) {
       ++out.moved;

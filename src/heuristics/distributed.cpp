@@ -1,27 +1,11 @@
 #include "heuristics/distributed.hpp"
 
-#include <queue>
 #include <vector>
 
 #include "core/ledger.hpp"
+#include "heuristics/online.hpp"
 
 namespace gridbw::heuristics {
-namespace {
-
-struct Completion {
-  TimePoint finish;
-  IngressId ingress;
-  EgressId egress;
-  Bandwidth bw;
-};
-
-struct LaterFinish {
-  bool operator()(const Completion& a, const Completion& b) const {
-    return a.finish > b.finish;
-  }
-};
-
-}  // namespace
 
 DistributedResult schedule_flexible_distributed(const Network& network,
                                                 std::span<const Request> requests,
@@ -30,20 +14,9 @@ DistributedResult schedule_flexible_distributed(const Network& network,
     throw std::invalid_argument{"schedule_flexible_distributed: negative sync period"};
   }
   DistributedResult out;
-  std::vector<Request> order;
-  order.reserve(requests.size());
-  for (const Request& r : requests) {
-    // A non-positive window has an infinite MinRate; reject it up front.
-    if (!(r.deadline > r.release)) {
-      out.result.rejected.push_back(r.id);
-      continue;
-    }
-    order.push_back(r);
-  }
-  sort_fcfs(order);
-
+  const std::vector<Request> order = fcfs_arrivals(requests, out.result, nullptr);
   CounterLedger truth{network};  // ground-truth counters (ingress exact + egress exact)
-  std::priority_queue<Completion, std::vector<Completion>, LaterFinish> completions;
+  Completions completions;
 
   // Stale egress view shared by all ingress routers, refreshed every
   // sync_period from the ground truth.
@@ -61,11 +34,7 @@ DistributedResult schedule_flexible_distributed(const Network& network,
   };
 
   for (const Request& r : order) {
-    while (!completions.empty() && completions.top().finish <= r.release) {
-      const Completion done = completions.top();
-      completions.pop();
-      truth.reclaim(done.ingress, done.egress, done.bw);
-    }
+    completions.reclaim_until(r.release, truth, nullptr);
     refresh_view(r.release);
 
     const auto bw = options.policy.assign(r, r.release);
@@ -97,7 +66,7 @@ DistributedResult schedule_flexible_distributed(const Network& network,
 
     truth.allocate(r.ingress, r.egress, *bw);
     out.result.schedule.accept(r.id, r.release, *bw);
-    completions.push(Completion{r.release + r.volume / *bw, r.ingress, r.egress, *bw});
+    completions.push(r, r.release, *bw);
   }
   return out;
 }

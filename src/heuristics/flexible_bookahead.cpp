@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "core/ledger.hpp"
+#include "heuristics/online.hpp"
 
 namespace gridbw::heuristics {
 
@@ -21,20 +21,7 @@ ScheduleResult schedule_flexible_bookahead(const Network& network,
   }
 
   ScheduleResult result;
-  std::vector<Request> order;
-  order.reserve(requests.size());
-  for (const Request& r : requests) {
-    obs::note_submitted(observer, r.id, r.release);
-    // A non-positive window has an infinite MinRate; reject it up front.
-    if (!(r.deadline > r.release)) {
-      result.rejected.push_back(r.id);
-      obs::note_rejected(observer, r.id, r.release,
-                         obs::RejectReason::kDegenerateWindow);
-      continue;
-    }
-    order.push_back(r);
-  }
-  sort_fcfs(order);
+  const std::vector<Request> order = fcfs_arrivals(requests, result, observer);
   if (order.empty()) return result;
 
   NetworkLedger ledger{network};
@@ -67,7 +54,7 @@ ScheduleResult schedule_flexible_bookahead(const Network& network,
         const auto bw = options.policy.assign(r, start);
         if (!bw.has_value()) break;  // later starts are only worse
         any_rate = true;
-        const TimePoint end = start + r.volume / *bw;
+        const TimePoint end = r.finish_at(start, *bw);
         if (ledger.fits(r.ingress, r.egress, start, end, *bw)) {
           ledger.reserve(r.ingress, r.egress, start, end, *bw);
           result.schedule.accept(r.id, start, *bw);

@@ -1,69 +1,29 @@
 #include "heuristics/flexible_greedy.hpp"
 
-#include <queue>
 #include <vector>
 
 #include "core/ledger.hpp"
+#include "heuristics/online.hpp"
 
 namespace gridbw::heuristics {
-namespace {
-
-/// A committed transfer awaiting completion (for bandwidth reclaim).
-struct Completion {
-  TimePoint finish;
-  RequestId request;
-  IngressId ingress;
-  EgressId egress;
-  Bandwidth bw;
-};
-
-struct LaterFinish {
-  bool operator()(const Completion& a, const Completion& b) const {
-    return a.finish > b.finish;
-  }
-};
-
-}  // namespace
 
 ScheduleResult schedule_flexible_greedy(const Network& network,
                                         std::span<const Request> requests,
                                         BandwidthPolicy policy,
                                         obs::Observer* observer) {
   ScheduleResult result;
-  std::vector<Request> order;
-  order.reserve(requests.size());
-  for (const Request& r : requests) {
-    obs::note_submitted(observer, r.id, r.release);
-    // A non-positive window has an infinite MinRate; reject it up front.
-    if (!(r.deadline > r.release)) {
-      result.rejected.push_back(r.id);
-      obs::note_rejected(observer, r.id, r.release,
-                         obs::RejectReason::kDegenerateWindow);
-      continue;
-    }
-    order.push_back(r);
-  }
-  sort_fcfs(order);
-
+  const std::vector<Request> order = fcfs_arrivals(requests, result, observer);
   CounterLedger counters{network};
-  std::priority_queue<Completion, std::vector<Completion>, LaterFinish> completions;
+  Completions completions;
 
   for (const Request& r : order) {
-    // Reclaim every transfer finished by this arrival instant.
-    while (!completions.empty() && completions.top().finish <= r.release) {
-      const Completion done = completions.top();
-      completions.pop();
-      counters.reclaim(done.ingress, done.egress, done.bw);
-      obs::note_reclaimed(observer, done.request, done.finish, done.bw);
-    }
-
+    completions.reclaim_until(r.release, counters, observer);
     const auto bw = policy.assign(r, r.release);
     if (bw.has_value() && counters.fits(r.ingress, r.egress, *bw)) {
       counters.allocate(r.ingress, r.egress, *bw);
       result.schedule.accept(r.id, r.release, *bw);
       obs::note_accepted(observer, r.id, r.release, r.release, *bw);
-      completions.push(
-          Completion{r.release + r.volume / *bw, r.id, r.ingress, r.egress, *bw});
+      completions.push(r, r.release, *bw);
     } else {
       result.rejected.push_back(r.id);
       if (observer != nullptr) {
@@ -77,17 +37,8 @@ ScheduleResult schedule_flexible_greedy(const Network& network,
     }
   }
 
-  // Drain the outstanding completions so the trace closes every accepted
-  // transfer's lifecycle. Observability only: without an observer the ledger
-  // is torn down with the function and the drain would be dead work.
-  if (observer != nullptr) {
-    while (!completions.empty()) {
-      const Completion done = completions.top();
-      completions.pop();
-      counters.reclaim(done.ingress, done.egress, done.bw);
-      obs::note_reclaimed(observer, done.request, done.finish, done.bw);
-    }
-  }
+  // Close every accepted transfer's lifecycle in the trace.
+  completions.reclaim_until(TimePoint::infinity(), counters, observer);
   return result;
 }
 

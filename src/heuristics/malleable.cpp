@@ -6,32 +6,26 @@
 #include <vector>
 
 #include "core/ledger.hpp"
+#include "heuristics/online.hpp"
 #include "heuristics/water_fill.hpp"
 #include "heuristics/window_select.hpp"
 
 namespace gridbw::heuristics {
 namespace {
 
-/// Same comparator as the constant engines' completion queue — with
-/// reshaping off the push sequence is identical too, so the pop order (ties
-/// included) reproduces flexible_greedy/flexible_window exactly. `slot` is
-/// the flow's index in FluidBook::flows_.
-struct Completion {
+/// A predicted finish of the flow in FluidBook::flows_[slot]. Its heap uses
+/// Completions' comparator and, with reshaping off, its push sequence, so the
+/// pop order (ties included) is flexible_greedy's/flexible_window's.
+struct FlowFinish {
   TimePoint finish;
   std::size_t slot;
-};
-
-struct LaterFinish {
-  bool operator()(const Completion& a, const Completion& b) const {
-    return a.finish > b.finish;
-  }
 };
 
 /// One admitted transfer in flight. The fluid state (remaining volume,
 /// current rate) is rebased lazily: `remaining_bytes` is exact as of
 /// `updated`, and `finish` is the cached completion prediction at the
 /// current rate. A flow whose rate never changes keeps the finish computed
-/// at admission (`when + vol/g`, the constant engines' expression), so the
+/// at admission (Request::finish_at, as the constant engines do), so the
 /// reshape-off mode is FP-identical to them.
 struct Flow {
   const Request* request{nullptr};
@@ -75,13 +69,13 @@ class FluidBook {
     f.rate_bps = guarantee.to_bytes_per_second();
     f.remaining_bytes = r.volume.to_bytes();
     f.updated = when;
-    f.finish = when + r.volume / guarantee;
+    f.finish = r.finish_at(when, guarantee);
     f.profile.append(when, guarantee);
     f.live = true;
     const std::size_t slot = flows_.size();
     flows_.push_back(std::move(f));
     live_.push_back(slot);
-    completions_.push(Completion{flows_.back().finish, slot});
+    completions_.push(FlowFinish{flows_.back().finish, slot});
     if (reshape_) refill(when);
   }
 
@@ -101,7 +95,7 @@ class FluidBook {
 
  private:
   void step_one(CounterLedger& counters) {
-    const Completion done = completions_.top();
+    const FlowFinish done = completions_.top();
     completions_.pop();
     Flow& f = flows_[done.slot];
     // A reshape superseded this prediction; the flow's live entry carries
@@ -148,7 +142,7 @@ class FluidBook {
       f.finish = t + Duration::seconds(f.remaining_bytes / next);
       const Bandwidth rate = Bandwidth::bytes_per_second(next);
       f.profile.append(t, rate);
-      completions_.push(Completion{f.finish, live_[k]});
+      completions_.push(FlowFinish{f.finish, live_[k]});
       obs::note_reshaped(observer_, f.request->id, t, rate);
     }
   }
@@ -160,7 +154,7 @@ class FluidBook {
   std::vector<double> out_capacity_;  // bytes/s, per egress port
   std::vector<Flow> flows_;           // every admitted flow, by slot
   std::vector<std::size_t> live_;     // slots in flight, admission order
-  std::priority_queue<Completion, std::vector<Completion>, LaterFinish> completions_;
+  std::priority_queue<FlowFinish, std::vector<FlowFinish>, LaterFinish> completions_;
   // Refill working state, member-owned to avoid per-event allocation.
   std::vector<FillFlow> fill_;
   std::vector<double> rates_;
@@ -174,19 +168,7 @@ ScheduleResult schedule_malleable_greedy(const Network& network,
                                          const MalleableOptions& options,
                                          obs::Observer* observer) {
   ScheduleResult result;
-  std::vector<Request> order;
-  order.reserve(requests.size());
-  for (const Request& r : requests) {
-    obs::note_submitted(observer, r.id, r.release);
-    if (!(r.deadline > r.release)) {
-      result.rejected.push_back(r.id);
-      obs::note_rejected(observer, r.id, r.release,
-                         obs::RejectReason::kDegenerateWindow);
-      continue;
-    }
-    order.push_back(r);
-  }
-  sort_fcfs(order);
+  const std::vector<Request> order = fcfs_arrivals(requests, result, observer);
 
   CounterLedger counters{network};
   FluidBook book{network, options.reshape, observer, result};

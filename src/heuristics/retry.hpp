@@ -9,7 +9,9 @@
 //
 // The simulation is event-driven on submissions and completions; the
 // returned schedule contains each accepted request exactly once, under its
-// original id, with the start time of the successful attempt.
+// original id, with the start time of the successful attempt. A degenerate
+// window (deadline <= release) is rejected at its first submission, like in
+// every other engine, and never retried.
 
 #pragma once
 

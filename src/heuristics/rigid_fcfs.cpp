@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "core/ledger.hpp"
+#include "heuristics/online.hpp"
 
 namespace gridbw::heuristics {
 
@@ -10,20 +11,7 @@ ScheduleResult schedule_rigid_fcfs(const Network& network,
                                    std::span<const Request> requests,
                                    obs::Observer* observer) {
   ScheduleResult result;
-  std::vector<Request> order;
-  order.reserve(requests.size());
-  for (const Request& r : requests) {
-    obs::note_submitted(observer, r.id, r.release);
-    // A non-positive window has an infinite MinRate; reject it up front.
-    if (!(r.deadline > r.release)) {
-      result.rejected.push_back(r.id);
-      obs::note_rejected(observer, r.id, r.release,
-                         obs::RejectReason::kDegenerateWindow);
-      continue;
-    }
-    order.push_back(r);
-  }
-  sort_fcfs(order);
+  const std::vector<Request> order = fcfs_arrivals(requests, result, observer);
 
   NetworkLedger ledger{network};
   ledger.attach_observer(observer);

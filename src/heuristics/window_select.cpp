@@ -6,6 +6,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "heuristics/online.hpp"
+
 namespace gridbw::heuristics {
 namespace {
 
@@ -92,19 +94,7 @@ std::vector<Request> window_arrivals(std::span<const Request> requests, Duration
   if (!(hotspot_weight >= 0.0) || !std::isfinite(hotspot_weight)) {
     throw std::invalid_argument{"WINDOW: hotspot_weight must be finite and >= 0"};
   }
-  std::vector<Request> arrivals;
-  arrivals.reserve(requests.size());
-  for (const Request& r : requests) {
-    obs::note_submitted(observer, r.id, r.release);
-    if (!(r.deadline > r.release)) {
-      result.rejected.push_back(r.id);
-      obs::note_rejected(observer, r.id, r.release, obs::RejectReason::kDegenerateWindow);
-      continue;
-    }
-    arrivals.push_back(r);
-  }
-  sort_fcfs(arrivals);
-  return arrivals;
+  return fcfs_arrivals(requests, result, observer);
 }
 
 void WindowSelector::start(std::span<const WindowCandidate> batch,

@@ -72,11 +72,9 @@ bool admit_or_reject(const WindowCandidate& chosen, TimePoint decision,
                      CounterLedger& counters, ScheduleResult& result,
                      obs::Observer* observer);
 
-/// The requests a WINDOW run batches, in FCFS order. Throws
-/// std::invalid_argument on a step that is not positive and finite or a
-/// hot-spot weight that is not finite and >= 0. Notes every submission and
-/// rejects degenerate windows (deadline <= release) up front, so their
-/// infinite MinRate never reaches the cost computations.
+/// The requests a WINDOW run batches: fcfs_arrivals (online.hpp), after
+/// throwing std::invalid_argument on a step that is not positive and finite
+/// or a hot-spot weight that is not finite and >= 0.
 [[nodiscard]] std::vector<Request> window_arrivals(std::span<const Request> requests,
                                                    Duration step, double hotspot_weight,
                                                    ScheduleResult& result,

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "heuristics/distributed.hpp"
@@ -14,8 +15,10 @@
 #include "heuristics/flexible_greedy.hpp"
 #include "heuristics/flexible_window.hpp"
 #include "heuristics/registry.hpp"
+#include "heuristics/retry.hpp"
 #include "heuristics/rigid_fcfs.hpp"
 #include "heuristics/rigid_slots.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace gridbw {
 namespace {
@@ -99,6 +102,80 @@ TEST(DegenerateWindow, FlexibleWindowRejectsUpFrontInBothEngines) {
   for (const heuristics::NamedScheduler& engine :
        {heuristics::make_window(opt), heuristics::make_malleable_window(mopt)}) {
     expect_degenerates_rejected(engine.run(net, requests), engine.name.c_str());
+  }
+}
+
+TEST(DegenerateWindow, MalleableEnginesRejectUpFrontWithReshapingOnAndOff) {
+  const Network net = Network::uniform(2, 2, mbps(100));
+  const auto requests = mixed_workload();
+  heuristics::MalleableOptions reshaping;
+  reshaping.step = Duration::seconds(10);
+  heuristics::MalleableOptions rigid = reshaping;
+  rigid.reshape = false;
+  // mwindow without reshaping is FlexibleWindowRejectsUpFrontInBothEngines'.
+  for (const heuristics::NamedScheduler& engine :
+       {heuristics::make_malleable_greedy(reshaping),
+        heuristics::make_malleable_greedy(rigid),
+        heuristics::make_malleable_window(reshaping)}) {
+    expect_degenerates_rejected(engine.run(net, requests), engine.name.c_str());
+  }
+}
+
+TEST(DegenerateWindow, RetryRejectsAtFirstSubmissionWithoutRetries) {
+  // A retry keeps the window's length, so a degenerate window can never
+  // become feasible: retrying it only spends the budget.
+  const Network net = Network::uniform(2, 2, mbps(100));
+  heuristics::RetryPolicy retry;
+  retry.max_attempts = 4;
+  const heuristics::RetryResult out = heuristics::schedule_greedy_with_retries(
+      net, mixed_workload(), heuristics::BandwidthPolicy::min_rate(), retry);
+  expect_degenerates_rejected(out.result, "retry");
+  EXPECT_EQ(out.retries_issued, 0u);
+  EXPECT_EQ(out.effective_requests.size(), 3u);
+}
+
+TEST(DegenerateWindow, EveryTracedEngineRejectsEachDegenerateOnceAsDegenerateWindow) {
+  const Network net = Network::uniform(2, 2, mbps(100));
+  const auto requests = mixed_workload();
+  heuristics::WindowOptions wopt;
+  wopt.step = Duration::seconds(10);
+  heuristics::MalleableOptions mopt;
+  mopt.step = wopt.step;
+  heuristics::BookAheadOptions bopt;
+  bopt.step = wopt.step;
+  heuristics::RetryPolicy retry;
+  retry.max_attempts = 4;
+  std::vector<heuristics::NamedScheduler> engines = heuristics::rigid_schedulers();
+  engines.push_back(heuristics::make_greedy(heuristics::BandwidthPolicy::min_rate()));
+  engines.push_back(heuristics::make_window(wopt));
+  engines.push_back(heuristics::make_malleable_greedy(mopt));
+  engines.push_back(heuristics::make_malleable_window(mopt));
+  engines.emplace_back("bookahead", [bopt](const Network& n, std::span<const Request> rs,
+                                           obs::Observer* o) {
+    return heuristics::schedule_flexible_bookahead(n, rs, bopt, o);
+  });
+  engines.emplace_back("retry", [retry](const Network& n, std::span<const Request> rs,
+                                        obs::Observer* o) {
+    return heuristics::schedule_greedy_with_retries(
+               n, rs, heuristics::BandwidthPolicy::min_rate(), retry, o)
+        .result;
+  });
+
+  for (const heuristics::NamedScheduler& engine : engines) {
+    obs::MemorySink sink;
+    obs::Observer observer{&sink, nullptr};
+    expect_degenerates_rejected(engine.run(net, requests, &observer),
+                                engine.name.c_str());
+    for (const RequestId id : {RequestId{2}, RequestId{3}}) {
+      std::vector<std::string> reasons;
+      for (const obs::AdmissionEvent& e : sink.events()) {
+        if (e.request == id && e.kind == obs::EventKind::kRejected) {
+          reasons.push_back(obs::to_string(e.reason));
+        }
+      }
+      EXPECT_EQ(reasons, std::vector<std::string>{"degenerate_window"})
+          << engine.name << " r" << id;
+    }
   }
 }
 
