@@ -13,9 +13,11 @@
 //
 // With --trace-in, the workload is replayed from disk instead of generated,
 // so different schedulers can be compared on the byte-identical trace.
-// Every settings or workload error — a malformed flag or INI value, a port
-// count below 1, a non-finite horizon, a malformed trace or a request
-// outside the platform — is a named usage error: a message and exit 2.
+// Every settings or workload error — an unknown flag or a bare argument, a
+// malformed flag or INI value, a port count below 1, a non-finite horizon,
+// a malformed trace or a request outside the platform — is a named usage
+// error: a message and exit 2. Rigid requests come from --slack=1 (there
+// is no --rigid flag).
 // With --config, defaults are read from an INI file ([workload] ports,
 // capacity-gbps, interarrival, horizon, slack, seed; [scheduler] spec,
 // retries, retry-backoff); command-line flags override the file.
@@ -33,6 +35,13 @@ namespace {
 int run(const gridbw::Flags& flags) {
   using namespace gridbw;
 
+  flags.require_known({"help", "scheduler", "interarrival", "horizon", "slack", "ports",
+                       "capacity-gbps", "seed", "trace-in", "trace-out", "schedule-out",
+                       "gantt", "config", "retries", "retry-backoff", "compact"});
+  if (!flags.positional().empty()) {
+    throw ValueError{flags.positional().front(), flags.positional().front(),
+                     "a --key=value flag"};
+  }
   if (flags.get_bool("help", false)) {
     std::cout << "gridbw_sim — schedule a bulk-transfer workload\n\n"
               << heuristics::scheduler_grammar();

@@ -49,13 +49,18 @@ SweepSetup prepare_sweep(std::span<const Request> requests) {
   for (std::size_t k = 0; k < requests.size(); ++k) {
     if (s.alive[k]) s.by_release.push_back(k);
   }
-  std::sort(s.by_release.begin(), s.by_release.end(),
-            [&](std::size_t a, std::size_t b) {
-              if (requests[a].release != requests[b].release) {
-                return requests[a].release < requests[b].release;
-              }
-              return requests[a].id < requests[b].id;
-            });
+  // (release, id, index) is a total order, so skipping the sort of an
+  // input already in it (a generated workload is) gives the same cursor.
+  const auto earlier = [&](std::size_t a, std::size_t b) {
+    if (requests[a].release != requests[b].release) {
+      return requests[a].release < requests[b].release;
+    }
+    if (requests[a].id != requests[b].id) return requests[a].id < requests[b].id;
+    return a < b;
+  };
+  if (!std::is_sorted(s.by_release.begin(), s.by_release.end(), earlier)) {
+    std::sort(s.by_release.begin(), s.by_release.end(), earlier);
+  }
   return s;
 }
 

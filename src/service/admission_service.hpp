@@ -9,12 +9,19 @@
 // Architecture (DESIGN.md §5h):
 //
 //  * One cell per port (ingress and egress ports share a global id space).
-//    A cell owns its port's TimelineProfile and the GC bookkeeping
-//    (live-reservation start heaps, departures since the last scan).
-//  * drain() seals the ingest queue, sorts the batch's events by
-//    (time, departure-before-arrival, request id), and runs them in that
-//    order, so every decision sees exactly the load the events before it
-//    left behind.
+//    A cell owns its port's TimelineProfile and the GC bookkeeping (a FIFO
+//    of live reservation starts, departures since the last scan).
+//  * submit() appends to fixed-size chunks. drain() seals them and reads
+//    the batch in place in id order; only when ids were not submitted
+//    strictly increasing does it copy the batch once and sort it by id.
+//  * drain() runs one global order, (time, departure-before-arrival,
+//    index in id order), with arrivals at release and departures at
+//    deadline: it walks the arrivals by (release, index) and, before each
+//    one, pops the admitted reservations due by then off a min-heap keyed
+//    by (deadline, index). Every decision sees exactly the load the events
+//    before it left behind.
+//  * State is O(live): a batch's requests and the departure heap last only
+//    for its drain, and no per-request history is kept across drains.
 //  * A later drain may not reach back before the latest instant an earlier
 //    drain executed: that drain already released its load up to there, so
 //    such arrivals are rejected with kReleaseBeforeWatermark. The watermark
@@ -94,6 +101,14 @@ struct ServiceSnapshot {
   /// Largest standing load (bytes/s) any port carries at the last executed
   /// event time — ~0 once every reservation has expired.
   double peak_standing_load{0.0};
+  /// Requests submitted and not yet drained.
+  std::size_t queued{0};
+  /// Admitted reservations whose departure has not run. A drain runs every
+  /// departure of its batch, so this reads 0 between drains.
+  std::size_t pending_departures{0};
+  /// Per-request entries held outside the ingest queue: live-start FIFO
+  /// entries on every port plus pending departures. 0 between drains.
+  std::size_t request_entries{0};
 };
 
 /// Online admission loop. Lifecycle: construct, submit() any number of
@@ -101,7 +116,8 @@ struct ServiceSnapshot {
 /// report; repeat submit/drain for later batches. Port state persists, so a
 /// later batch's arrival released before the latest already-drained event
 /// time is rejected (kReleaseBeforeWatermark). snapshot() reads the port
-/// state between batches.
+/// state between batches. Per-request outcomes are reported only through
+/// the observer's trace: the service keeps no history of them.
 class AdmissionService {
  public:
   AdmissionService(const Network& network, ServiceOptions options);
@@ -120,11 +136,8 @@ class AdmissionService {
   /// emits the batch's trace in event order.
   ServiceReport drain();
 
+  /// Thread-safe against submit(); call it between drains.
   [[nodiscard]] ServiceSnapshot snapshot() const;
-
-  /// Admission outcome of an already-drained request id; false for unknown
-  /// ids. Exposed for differential tests against batch engines.
-  [[nodiscard]] bool was_admitted(RequestId id) const;
 
  private:
   struct Impl;

@@ -1,5 +1,6 @@
 #include "util/flags.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/parse.hpp"
@@ -18,6 +19,14 @@ Flags::Flags(int argc, const char* const* argv) {
       values_[arg.substr(2)] = "true";
     } else {
       values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+    }
+  }
+}
+
+void Flags::require_known(std::initializer_list<std::string_view> known) const {
+  for (const auto& [key, value] : values_) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw ValueError{"--" + key, value, "a known flag"};
     }
   }
 }

@@ -7,9 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gridbw {
@@ -35,6 +37,11 @@ class Flags {
                                                     std::vector<double> fallback) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
+
+  /// Throws ValueError naming the first flag (in key order) that is not in
+  /// `known`, so a misspelt flag is a usage error rather than a run on the
+  /// default it was meant to override.
+  void require_known(std::initializer_list<std::string_view> known) const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -99,6 +99,20 @@ TEST(Flags, RejectsTrailingJunkAndNonFiniteValues) {
   }
 }
 
+TEST(Flags, RequireKnownNamesTheFirstUnknownFlag) {
+  const Flags f = parse({"--seed=5", "pos", "--seeds=5", "--rigid"});
+  EXPECT_NO_THROW(f.require_known({"seed", "seeds", "rigid"}));
+  try {
+    f.require_known({"seed", "slack"});
+    FAIL() << "unknown flags accepted";
+  } catch (const ValueError& e) {
+    // Keys are checked in sorted order: --rigid before --seeds.
+    EXPECT_EQ(e.key(), "--rigid");
+  }
+  EXPECT_THROW(f.require_known({}), ValueError);
+  EXPECT_NO_THROW(parse({"pos"}).require_known({}));
+}
+
 TEST(ParseUint, FullRangeAndNoSign) {
   EXPECT_EQ(parse_uint("id", "0"), 0u);
   EXPECT_EQ(parse_uint("id", "18446744073709551615"), 18446744073709551615ULL);

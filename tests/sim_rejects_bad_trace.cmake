@@ -1,5 +1,6 @@
-# Runs gridbw_sim on bad traces and bad settings and requires exit code 2 for
-# each (a named usage error, not an abort and not a silent run).
+# Runs gridbw_sim on bad traces, bad settings and unknown flags and requires
+# exit code 2 for each (a named usage error, not an abort and not a silent
+# run).
 #
 #   cmake -DSIM=<gridbw_sim> -DDATA=<dir> -P sim_rejects_bad_trace.cmake
 #
@@ -38,6 +39,13 @@ expect_usage_error(ports-zero --ports=0)
 expect_usage_error(horizon-inf --horizon=inf --interarrival=1)
 expect_usage_error(horizon-nan --horizon=nan)
 expect_usage_error(interarrival-inf --interarrival=inf)
+
+# A flag the simulator does not know is an error, not a run on defaults:
+# a misspelt --seed, and --rigid, which does not exist (--slack=1 is rigid).
+expect_usage_error(unknown-flag-seeds --seeds=5)
+expect_usage_error(unknown-flag-rigid --rigid)
+# A bare argument is not a scheduler spec (that is --scheduler=fcfs).
+expect_usage_error(positional-arg fcfs)
 
 # The same strict parser reads INI settings.
 set(ini "${CMAKE_CURRENT_BINARY_DIR}/sim_rejects_bad_settings.ini")
