@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """gridbw-lint: repository hygiene for non-C++ assets.
 
-The C++ domain rules that used to live here (quantity-api, rng-locality,
-wall-clock) are owned by the in-tree static analyzer
-now — `tools/gridbw_analyze` (ctest `gridbw_analyze`), which also enforces
-layering, unordered-iteration determinism, float formatting, and hot-path
-hygiene with proper lexing; its only exception mechanism is a per-line
+The C++ domain rules live in the in-tree static analyzer,
+`tools/gridbw_analyze` (ctest `gridbw_analyze`): layering,
+unordered-iteration determinism, wall-clock reads and hot-path hygiene,
+with proper lexing; its only exception mechanism is a per-line
 GRIDBW-ALLOW comment. This script keeps the checks that are not about C++
 sources at all.
 

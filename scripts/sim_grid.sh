@@ -12,9 +12,9 @@
 #
 # The grid: every scheduler spec below (rigid, greedy, WINDOW, BOOK-AHEAD,
 # malleable, and GREEDY with --retries=3) at three flexible loads, the rigid
-# specs also at two rigid loads (10 and 3 ports), seeds 1-4. mwindow:step=400
-# is known to write over-capacity schedules at some seeds (ROADMAP direction
-# 1: seeds 8 and 21 at --interarrival=50); none of them is in this grid.
+# specs also at two rigid loads (10 and 3 ports), seeds 1-4, plus two long
+# mwindow:step=400,minrate runs (seeds 8 and 21 at --interarrival=50), where
+# a flow's profile collapses to one step at its admission instant.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -54,6 +54,9 @@ for seed in 1 2 3 4; do
       jobs+=("--scheduler=$spec $load --seed=$seed")
     done
   done
+done
+for seed in 8 21; do
+  jobs+=("--scheduler=mwindow:step=400,minrate ${flexible_loads[0]} --slack=4 --seed=$seed")
 done
 
 run_one() {

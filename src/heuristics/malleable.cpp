@@ -142,6 +142,10 @@ class FluidBook {
       f.finish = t + Duration::seconds(f.remaining_bytes / next);
       const Bandwidth rate = Bandwidth::bytes_per_second(next);
       f.profile.append(t, rate);
+      // Reshapes at one instant can collapse the profile back to one step,
+      // which the schedule keeps as a constant assignment ending at
+      // Request::finish_at; the flow must finish at that same instant.
+      if (f.profile.size() == 1) f.finish = f.request->finish_at(f.profile.start(), rate);
       completions_.push(FlowFinish{f.finish, live_[k]});
       obs::note_reshaped(observer_, f.request->id, t, rate);
     }

@@ -37,7 +37,6 @@ namespace {
 std::uint64_t next_registry_id() {
   static std::atomic<std::uint64_t> next{1};
   // Uniqueness is the only requirement, no ordering with any other memory.
-  // GRIDBW-ALLOW(atomic-discipline): relaxed id allocation.
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -82,14 +81,12 @@ CounterRegistry::Shard& CounterRegistry::local_shard() const {
 void CounterRegistry::add(Counter counter, std::uint64_t delta) {
   local_shard().cells[static_cast<std::size_t>(counter)].fetch_add(
       // The merge is exact after quiescence whatever order increments land in.
-      // GRIDBW-ALLOW(atomic-discipline): commutative shard add.
       delta, std::memory_order_relaxed);
 }
 
 void CounterRegistry::set(Counter counter, std::uint64_t value) {
   local_shard().cells[static_cast<std::size_t>(counter)].store(
       // Gauge write to the caller's own shard cell; nothing else published.
-      // GRIDBW-ALLOW(atomic-discipline): relaxed gauge store.
       value, std::memory_order_relaxed);
 }
 
@@ -99,7 +96,6 @@ std::uint64_t CounterRegistry::value(Counter counter) const {
   std::lock_guard lock{mutex_};
   for (const auto& shard : shards_) {
     // A consistent lower bound while writers run, exact after quiescence.
-    // GRIDBW-ALLOW(atomic-discipline): commutative-sum read.
     total += shard->cells[c].load(std::memory_order_relaxed);
   }
   return total;
@@ -110,7 +106,7 @@ std::array<std::uint64_t, kCounterCount> CounterRegistry::snapshot() const {
   std::lock_guard lock{mutex_};
   for (const auto& shard : shards_) {
     for (std::size_t c = 0; c < kCounterCount; ++c) {
-      // GRIDBW-ALLOW(atomic-discipline): same commutative-sum read as value().
+      // The same commutative-sum read as value().
       totals[c] += shard->cells[c].load(std::memory_order_relaxed);
     }
   }
@@ -121,7 +117,6 @@ void CounterRegistry::reset() {
   std::lock_guard lock{mutex_};
   for (const auto& shard : shards_) {
     // The reset contract requires quiesced writers; no ordering is relied on.
-    // GRIDBW-ALLOW(atomic-discipline): quiesced reset store.
     for (auto& cell : shard->cells) cell.store(0, std::memory_order_relaxed);
   }
 }

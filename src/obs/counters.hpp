@@ -106,7 +106,7 @@ class CounterRegistry {
   /// the same address.
   std::uint64_t id_{0};
   mutable std::mutex mutex_;
-  mutable std::vector<std::unique_ptr<Shard>> shards_;  // gridbw:guarded_by(mutex_)
+  mutable std::vector<std::unique_ptr<Shard>> shards_;  // guarded by mutex_
 };
 
 }  // namespace gridbw::obs

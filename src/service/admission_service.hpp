@@ -13,7 +13,8 @@
 //    of live reservation starts, departures since the last scan).
 //  * submit() appends to fixed-size chunks. drain() seals them and reads
 //    the batch in place in id order; only when ids were not submitted
-//    strictly increasing does it copy the batch once and sort it by id.
+//    strictly increasing does it copy the batch once and sort it by id,
+//    then by every other field, so requests sharing an id order alike.
 //  * drain() runs one global order, (time, departure-before-arrival,
 //    index in id order), with arrivals at release and departures at
 //    deadline: it walks the arrivals by (release, index) and, before each
@@ -127,7 +128,8 @@ class AdmissionService {
   AdmissionService& operator=(const AdmissionService&) = delete;
 
   /// Queues a request for the next drain(). Thread-safe; the batch's event
-  /// order is independent of submission interleaving (ids break ties).
+  /// order is independent of submission interleaving (ids, then the other
+  /// fields, break ties).
   /// Throws std::invalid_argument for a non-finite release, deadline,
   /// volume or max_rate.
   void submit(const Request& request);

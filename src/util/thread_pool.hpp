@@ -85,10 +85,10 @@ class ThreadPool {
 
   std::size_t thread_count_{0};
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;  // gridbw:guarded_by(mutex_)
+  std::queue<std::function<void()>> queue_;  // guarded by mutex_
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  bool stopping_{false};  // gridbw:guarded_by(mutex_)
+  bool stopping_{false};  // guarded by mutex_
 };
 
 /// Runs body(i) for i in [0, count) on `pool`, blocking until all complete.

@@ -171,6 +171,32 @@ TEST(Malleable, ReshapedSchedulesValidateCleanly) {
   }
 }
 
+// gridbw_sim --scheduler=mwindow:step=400,minrate --interarrival=50
+// --horizon=800000 --slack=4 at these seeds once wrote over-capacity
+// schedules: two reshapes at one instant collapsed a flow's profile to one
+// step, the schedule ended that constant assignment at Request::finish_at,
+// and the engine had reclaimed its bandwidth a few ulps earlier.
+void expect_long_mwindow_run_valid(std::uint64_t seed) {
+  const workload::Scenario scenario = workload::paper_flexible(
+      Duration::seconds(50), Duration::seconds(800000), 4.0);
+  Rng rng{seed};
+  const auto requests = workload::generate(scenario.spec, rng);
+  MalleableOptions opt;
+  opt.policy = BandwidthPolicy::min_rate();
+  const auto result = schedule_malleable_window(scenario.network, requests, opt);
+  const auto report = validate_assignments(scenario.network, requests,
+                                           result.schedule.assignments());
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(Malleable, CollapsedProfileKeepsIngressWithinCapacitySeed8) {
+  expect_long_mwindow_run_valid(8);
+}
+
+TEST(Malleable, CollapsedProfileKeepsEgressWithinCapacitySeed21) {
+  expect_long_mwindow_run_valid(21);
+}
+
 TEST(Malleable, ProfilesFinishNoLaterThanTheConstantPromise) {
   const Network net = seeded_network();
   const auto requests = seeded_workload(42, 0.5);
@@ -197,9 +223,7 @@ TEST(Malleable, ProfilesFinishNoLaterThanTheConstantPromise) {
 
 TEST(Malleable, LongHistoryReshapingKeepsGuaranteesAndVolumes) {
   // A horizon over which admitted flows outnumber the ones in flight by
-  // >= 100x, so every refill runs against a long admission history. mwindow
-  // is left out: its rare over-capacity schedules are a known defect with
-  // their own repro seeds, not something this sweep should trip over.
+  // >= 100x, so every refill runs against a long admission history.
   const workload::Scenario scenario = workload::paper_flexible(
       Duration::seconds(50), Duration::seconds(800000), 4.0);
   Rng rng{2024};
@@ -209,46 +233,50 @@ TEST(Malleable, LongHistoryReshapingKeepsGuaranteesAndVolumes) {
        {std::pair{BandwidthPolicy::min_rate(), true},
         std::pair{BandwidthPolicy::fraction_of_max(0.5), true},
         std::pair{BandwidthPolicy::fraction_of_max(1.0), false}}) {
-    SCOPED_TRACE(policy.name());
-    MalleableOptions opt;
-    opt.policy = policy;
-    const auto result = schedule_malleable_greedy(scenario.network, requests, opt);
-    const auto report = validate_assignments(scenario.network, requests,
-                                             result.schedule.assignments());
-    EXPECT_TRUE(report.ok()) << report.to_string();
+    for (const bool window : {false, true}) {
+      SCOPED_TRACE(policy.name() + (window ? " mwindow" : " mgreedy"));
+      MalleableOptions opt;
+      opt.policy = policy;
+      const auto result = window
+                              ? schedule_malleable_window(scenario.network, requests, opt)
+                              : schedule_malleable_greedy(scenario.network, requests, opt);
+      const auto report = validate_assignments(scenario.network, requests,
+                                               result.schedule.assignments());
+      EXPECT_TRUE(report.ok()) << report.to_string();
 
-    std::vector<std::pair<TimePoint, int>> edges;  // (instant, +1 start / -1 end)
-    std::size_t admitted = 0;
-    std::size_t profiled = 0;
-    for (const Request& r : requests) {
-      const auto a = result.schedule.assignment(r.id);
-      if (!a.has_value()) continue;
-      ++admitted;
-      profiled += a->is_profiled() ? 1 : 0;
-      // GREEDY admits at the release instant, so this is the guarantee.
-      const auto g = policy.assign(r, r.release);
-      ASSERT_TRUE(g.has_value());
-      double carried = 0.0;
-      a->for_each_segment(r, [&](TimePoint t0, TimePoint t1, Bandwidth rate) {
-        EXPECT_TRUE(approx_le(*g, rate)) << "flow " << r.id << " dipped below its guarantee";
-        carried += rate.to_bytes_per_second() * (t1 - t0).to_seconds();
-      });
-      EXPECT_NEAR(carried, r.volume.to_bytes(), 1.0 + 1e-9 * r.volume.to_bytes())
-          << "flow " << r.id;
-      edges.emplace_back(a->start, 1);
-      edges.emplace_back(a->end(r), -1);
+      std::vector<std::pair<TimePoint, int>> edges;  // (instant, +1 start / -1 end)
+      std::size_t admitted = 0;
+      std::size_t profiled = 0;
+      for (const Request& r : requests) {
+        const auto a = result.schedule.assignment(r.id);
+        if (!a.has_value()) continue;
+        ++admitted;
+        profiled += a->is_profiled() ? 1 : 0;
+        // The guarantee is fixed at admission, the assignment's start.
+        const auto g = policy.assign(r, a->start);
+        ASSERT_TRUE(g.has_value());
+        double carried = 0.0;
+        a->for_each_segment(r, [&](TimePoint t0, TimePoint t1, Bandwidth rate) {
+          EXPECT_TRUE(approx_le(*g, rate)) << "flow " << r.id << " dipped below its guarantee";
+          carried += rate.to_bytes_per_second() * (t1 - t0).to_seconds();
+        });
+        EXPECT_NEAR(carried, r.volume.to_bytes(), 1.0 + 1e-9 * r.volume.to_bytes())
+            << "flow " << r.id;
+        edges.emplace_back(a->start, 1);
+        edges.emplace_back(a->end(r), -1);
+      }
+      // Ends sort before starts at one instant: reservations are half-open.
+      std::sort(edges.begin(), edges.end());
+      int live = 0;
+      int peak_live = 0;
+      for (const auto& [when, delta] : edges) {
+        live += delta;
+        peak_live = std::max(peak_live, live);
+      }
+      EXPECT_EQ(profiled > 0, reshapes) << profiled << " reshaped profiles";
+      EXPECT_GE(admitted, 100u * static_cast<std::size_t>(peak_live))
+          << "admitted " << admitted << ", peak live " << peak_live;
     }
-    // Ends sort before starts at one instant: reservations are half-open.
-    std::sort(edges.begin(), edges.end());
-    int live = 0;
-    int peak_live = 0;
-    for (const auto& [when, delta] : edges) {
-      live += delta;
-      peak_live = std::max(peak_live, live);
-    }
-    EXPECT_EQ(profiled > 0, reshapes) << profiled << " reshaped profiles";
-    EXPECT_GE(admitted, 100u * static_cast<std::size_t>(peak_live))
-        << "admitted " << admitted << ", peak live " << peak_live;
   }
 }
 

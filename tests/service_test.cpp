@@ -719,6 +719,28 @@ TEST(ServiceSequencing, OracleCatchesArrivalsBeforeSameInstantDepartures) {
   EXPECT_NE(first_difference(traced, expected), "");
 }
 
+TEST(ServiceSequencing, RequestsSharingAnIdOrderAloneWhateverTheSubmissionOrder) {
+  // Two id-5 requests at release 0 on a 1 GB/s port, 0.8 GB/s each, so
+  // only the first in the batch order fits. Their deadlines differ (10 and
+  // 20), so the trace shows which one was admitted.
+  const Network net = Network::uniform(1, 1, Bandwidth::gigabytes_per_second(1));
+  const Request early = transfer(5, 0, 0.0, 10.0, 8e8);
+  const Request late = transfer(5, 0, 0.0, 20.0, 8e8);
+  const auto trace_of = [&](const std::vector<Request>& submissions) {
+    std::ostringstream out;
+    obs::JsonlSink sink{out};
+    obs::Observer observer{&sink, nullptr};
+    service::AdmissionService svc{net, {.observer = &observer}};
+    for (const Request& r : submissions) svc.submit(r);
+    (void)svc.drain();
+    sink.flush();
+    return out.str();
+  };
+  const std::string early_first = trace_of({early, late});
+  ASSERT_NE(early_first.find("\"event\":\"expired\""), std::string::npos);
+  EXPECT_EQ(early_first, trace_of({late, early}));
+}
+
 // ---------------------------------------------------------------------------
 // Residency across drains
 // ---------------------------------------------------------------------------

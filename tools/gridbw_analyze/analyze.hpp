@@ -2,8 +2,9 @@
 //
 // A deliberately small lexer/preprocessor-lite (no libclang): it strips
 // comments and string literals while preserving line numbers, parses
-// `#include` directives, and runs a fixed catalogue of domain checks the
-// compiler and clang-tidy cannot express:
+// `#include` directives, and runs a fixed catalogue of domain checks that
+// no other wall of the repository (the compiler with -Wconversion, the test
+// suite, ASan/UBSan, TSan, gridbw_lint, scripts/sim_grid.sh) catches:
 //
 //   layering        #include edges must follow the module DAG documented in
 //                   DESIGN.md §5f (core never includes heuristics, obs stays
@@ -13,27 +14,6 @@
 //                   reports, or schedule decisions breaks byte-identity
 //   wall-clock      real-time reads outside the experiment harness and the
 //                   observability sinks (simulated time flows via TimePoint)
-//   rng-locality    random engines constructed outside util/random
-//   float-format    float formatting that bypasses the shortest-round-trip
-//                   helpers (std::to_string on doubles, std::setprecision,
-//                   raw printf floats inside the trace/export layer)
-//   unit-safety     raw `double` parameters/members/returns in public
-//                   headers whose names denote a dimensioned quantity
-//                   (*_bps, *_bytes, *_sec, bandwidth, volume, ...)
-//   guarded-by      fields annotated gridbw:guarded_by may only be touched
-//                   in scopes where the named mutex is held via
-//                   scoped_lock / lock_guard / unique_lock
-//   cv-wait-predicate
-//                   every condition_variable wait uses the predicate
-//                   overload — bare waits desynchronize on spurious wakeups
-//   lock-scope-hygiene
-//                   no throw, stream/printf I/O, virtual-sink ->record(
-//                   call, or blocking submit/join/sleep while a lock is
-//                   held — critical sections stay compute-only
-//   atomic-discipline
-//                   raw std::atomic outside the sanctioned modules
-//                   (obs/counters, util/thread_pool), and every non-default
-//                   memory_order argument, must carry a GRIDBW-ALLOW
 //   hot-propagation (interprocedural) every `// gridbw:hot` body, and every
 //                   function reachable from one over the call graph, must
 //                   be hot-clean — no throw, allocation, dynamic_cast, or
@@ -43,6 +23,8 @@
 //                   (interprocedural) calls from hot contexts through
 //                   virtual methods or std::function values — sinks the
 //                   graph cannot resolve — must be ALLOW-annotated
+//
+// DESIGN.md §5f names, for each check, the src/ mutation it alone catches.
 //
 // Scan roots: src/ (all checks), tools/, bench/, and tests/ with per-root
 // check profiles (see scan_roots() in tree.cpp); directories named
@@ -92,7 +74,7 @@ struct SourceFile {
   std::vector<std::size_t> starts;      // line-start offsets into `code`
   /// The sibling header (for x.cpp, x.hpp) when present: stripped text plus
   /// raw and stripped lines. Members and annotations declared there
-  /// (unordered containers, gridbw:guarded_by, gridbw:hot) count here too.
+  /// (unordered containers, gridbw:hot) count here too.
   std::string companion_code;
   std::vector<std::string> companion_raw_lines;
   std::vector<std::string> companion_code_lines;
@@ -144,11 +126,6 @@ struct CheckInfo {
 /// The allowed include set of a module, for diagnostics ("" if unknown).
 [[nodiscard]] std::string layering_allowed_list(const std::string& from);
 
-/// True when held mutex expression `held` satisfies an annotation naming
-/// `name`: exact match, or the member suffix after the last `.` / `->`
-/// matches (`impl_->ingest_mu` satisfies `ingest_mu`).
-[[nodiscard]] bool mutex_matches(const std::string& held, const std::string& name);
-
 // ---------------------------------------------------------------------------
 // Analysis
 // ---------------------------------------------------------------------------
@@ -159,7 +136,7 @@ struct Options {
 };
 
 /// One scan root under the repository and the check ids it does not run
-/// (e.g. wall-clock is relaxed in bench/, layering outside src/).
+/// (wall-clock is relaxed in bench/, layering outside src/).
 struct ScanRoot {
   const char* dir;
   std::set<std::string> skip;

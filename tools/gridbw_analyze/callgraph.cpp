@@ -117,7 +117,7 @@ bool components_compatible(const std::vector<std::string>& a,
 }  // namespace
 
 std::vector<CallSite> extract_calls(const std::string& code,
-                                    const ScopeInfo& scope) {
+                                    const std::vector<FunctionScope>& functions) {
   std::vector<CallSite> calls;
   for (std::size_t paren = 0; paren < code.size(); ++paren) {
     if (code[paren] != '(') continue;
@@ -180,7 +180,7 @@ std::vector<CallSite> extract_calls(const std::string& code,
     }
 
     // Enclosing outermost function body, if any.
-    for (const FunctionScope& fn : scope.functions) {
+    for (const FunctionScope& fn : functions) {
       if (fn.open < call.pos && call.pos < fn.close) {
         call.enclosing_body = fn.open;
         break;
@@ -355,6 +355,10 @@ constexpr BanToken kBanTokens[] = {
     {"calloc", "allocation (calloc)"},
     {"realloc", "allocation (realloc)"},
     {"dynamic_cast", "dynamic_cast"},
+    {"scoped_lock", "lock acquisition (scoped_lock)"},
+    {"lock_guard", "lock acquisition (lock_guard)"},
+    {"unique_lock", "lock acquisition (unique_lock)"},
+    {"shared_lock", "lock acquisition (shared_lock)"},
 };
 
 /// Shared walk state: which symbols the hot walk has entered, and through
@@ -367,8 +371,8 @@ struct HotWalk {
   std::vector<std::pair<SymbolRef, std::string>> hot_context;  // ref, chain
 };
 
-/// Reports every banned token and lock acquisition in one body: a hot root
-/// (`chain` empty) or a callee reached through `chain`.
+/// Reports every banned token in one body: a hot root (`chain` empty) or a
+/// callee reached through `chain`.
 void scan_hot_body(std::vector<FileEntry>& entries, const Project& project,
                    const SymbolRef& ref, const std::string& chain) {
   FileEntry& entry = entries[ref.file];
@@ -388,18 +392,6 @@ void scan_hot_body(std::vector<FileEntry>& entries, const Project& project,
                        : " — hoist it, mark the callee // gridbw:hot, or "
                          "justify with GRIDBW-ALLOW(hot-propagation)"));
     }
-  }
-  for (const LockSite& site : entry.scope.locks) {
-    if (site.pos <= symbol.body_open || site.pos >= symbol.body_close) continue;
-    std::string mutexes;
-    for (const std::string& mutex : site.mutexes) {
-      if (!mutexes.empty()) mutexes += ", ";
-      mutexes += mutex;
-    }
-    report(entry, site.pos, "hot-propagation",
-           "lock acquisition (" + mutexes + ") in " + where +
-               " — hot paths stay lock-free; restructure or justify with "
-               "GRIDBW-ALLOW(hot-propagation)");
   }
 }
 

@@ -1,11 +1,8 @@
-// Fixture: the tools/ profile keeps wall-clock and atomic-discipline on
-// (layering and unit-safety are the checks relaxed there).
-#include <atomic>
+// Fixture: the tools/ profile keeps wall-clock on (layering is the check
+// relaxed there).
 #include <chrono>
 
 namespace fixture {
-
-std::atomic<int> tool_state{0};  // finding: atomic-discipline applies in tools/
 
 long tool_clock() {
   return std::chrono::steady_clock::now().time_since_epoch().count();  // finding

@@ -86,17 +86,6 @@ inline std::string trim(const std::string& s) {
   return s.substr(first, last - first + 1);
 }
 
-/// The expression with every whitespace character removed — lock arguments
-/// and annotation operands normalize to the same spelling even when the
-/// declaration wraps across lines.
-inline std::string strip_spaces(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c)) == 0) out.push_back(c);
-  }
-  return out;
-}
-
 /// The path of a `#include "..."` directive on line `i`, or "" for other
 /// lines and <system> includes. The stripper blanks string contents, so the
 /// path is read from the raw line once the stripped one proves the
@@ -119,41 +108,15 @@ inline std::string quoted_include(const SourceFile& file, std::size_t i) {
 // ---------------------------------------------------------------------------
 // Scope model (scope.cpp)
 // ---------------------------------------------------------------------------
-//
-// A brace/paren-tracking pass over the stripped code of one file: function
-// bodies, lock acquisitions with their hold intervals, guarded fields, and
-// condition-variable names.
 
-/// One lock acquisition site (scoped_lock / lock_guard / unique_lock /
-/// shared_lock declaration) and the byte interval it holds its mutexes.
-struct LockSite {
-  std::size_t pos = 0;        // byte offset of the acquisition in the code
-  std::size_t release = 0;    // end of the hold: explicit unlock or scope end
-  std::string var;            // lock object name
-  std::vector<std::string> mutexes;  // normalized mutex expressions
-};
-
-/// A function (or parameterized-lambda) body: offsets of its braces.
+/// A function body: offsets of its braces.
 struct FunctionScope {
   std::size_t open = 0;
   std::size_t close = 0;
 };
 
-/// A field annotated `// gridbw:guarded_by(mutex)` on its declaration line.
-struct GuardedField {
-  std::string name;
-  std::string mutex;
-  int decl_line = 0;  // 1-based line in the declaring file; 0 = companion
-};
-
-struct ScopeInfo {
-  std::vector<FunctionScope> functions;  // outermost function bodies only
-  std::vector<LockSite> locks;           // in position order
-  std::vector<GuardedField> guarded;
-  std::vector<std::string> cv_names;  // condition_variable declarations
-};
-
-[[nodiscard]] ScopeInfo build_scope_info(const SourceFile& file);
+/// The outermost function bodies of `file`, in position order.
+[[nodiscard]] std::vector<FunctionScope> outermost_functions(const SourceFile& file);
 
 /// Position of the '(' opening the parameter list of the header whose body
 /// opens at code[open]; npos when the brace has no such header.
@@ -190,7 +153,7 @@ struct FileSymbols {
 };
 
 [[nodiscard]] FileSymbols extract_symbols(const SourceFile& file,
-                                          const ScopeInfo& scope);
+                                          const std::vector<FunctionScope>& functions);
 
 // ---------------------------------------------------------------------------
 // Call sites and the per-file entry (callgraph.cpp)
@@ -210,13 +173,13 @@ struct CallSite {
 /// fundamental types, and declaration-shaped sites. Calls through explicit
 /// template arguments (`f<T>(...)`) are not extracted.
 [[nodiscard]] std::vector<CallSite> extract_calls(const std::string& code,
-                                                  const ScopeInfo& scope);
+                                                  const std::vector<FunctionScope>& functions);
 
 /// Every table of one scanned file, plus the findings reported against it.
 struct FileEntry {
   std::string root_rel;  // relative to the scan root ("core/ledger.cpp")
   SourceFile file;
-  ScopeInfo scope;
+  std::vector<FunctionScope> functions;  // outermost bodies
   FileSymbols symbols;
   std::vector<CallSite> calls;
   const std::set<std::string>* checks = nullptr;  // enabled in this root
@@ -240,12 +203,8 @@ inline void report(FileEntry& entry, std::size_t pos, const std::string& check,
 }
 
 /// The per-file catalogue (checks.cpp): layering, unordered-iter,
-/// wall-clock, rng-locality, float-format, unit-safety.
+/// wall-clock.
 void run_file_checks(FileEntry& entry);
-
-/// The concurrency family (concurrency.cpp): guarded-by, cv-wait-predicate,
-/// lock-scope-hygiene, atomic-discipline.
-void run_concurrency_checks(FileEntry& entry);
 
 /// hot-propagation and hot-call-unresolved over the call graph of all
 /// entries (in scan order); findings land in the entry of the file they

@@ -146,11 +146,12 @@ void sort_unique(std::vector<std::string>* v) {
 
 }  // namespace
 
-FileSymbols extract_symbols(const SourceFile& file, const ScopeInfo& scope) {
+FileSymbols extract_symbols(const SourceFile& file,
+                            const std::vector<FunctionScope>& functions) {
   const std::string& code = file.code;
   FileSymbols table;
 
-  for (const FunctionScope& fn : scope.functions) {
+  for (const FunctionScope& fn : functions) {
     const std::size_t paren = header_param_open(code, fn.open);
     if (paren == std::string::npos) continue;
     const std::string qualified = qualified_before(code, paren);

@@ -56,14 +56,11 @@ std::string render_json(const std::vector<Finding>& findings) {
 const std::vector<ScanRoot>& scan_roots() {
   static const std::vector<ScanRoot> kRoots = {
       {"src", {}},
-      // tools: host-side utilities — library layering and the unit-typed
-      // header vocabulary do not apply outside the library tree.
-      {"tools", {"layering", "unit-safety"}},
-      // bench: measures the machine and prints human-facing tables.
-      {"bench", {"layering", "wall-clock", "float-format", "unit-safety"}},
-      // tests: exercise forbidden constructs on purpose (raw atomics in TSan
-      // stress tests).
-      {"tests", {"layering", "float-format", "unit-safety", "atomic-discipline"}},
+      // The module DAG is the library's; the other roots sit outside it.
+      {"tools", {"layering"}},
+      // bench: measures the machine.
+      {"bench", {"layering", "wall-clock"}},
+      {"tests", {"layering"}},
   };
   return kRoots;
 }
@@ -98,9 +95,9 @@ TreeReport analyze_loaded(const std::vector<LoadedFile>& files,
       entry.file.companion_raw_lines = split_lines(loaded.companion);
       entry.file.companion_code_lines = split_lines(entry.file.companion_code);
     }
-    entry.scope = build_scope_info(entry.file);
-    entry.symbols = extract_symbols(entry.file, entry.scope);
-    entry.calls = extract_calls(entry.file.code, entry.scope);
+    entry.functions = outermost_functions(entry.file);
+    entry.symbols = extract_symbols(entry.file, entry.functions);
+    entry.calls = extract_calls(entry.file.code, entry.functions);
   }
 
   // Phase 2: the interprocedural checks over the merged tables.
@@ -111,7 +108,6 @@ TreeReport analyze_loaded(const std::vector<LoadedFile>& files,
   // Phase 3: the per-file catalogue; findings merge in file order.
   for (FileEntry& entry : entries) {
     run_file_checks(entry);
-    run_concurrency_checks(entry);
     std::sort(entry.findings.begin(), entry.findings.end());
     for (Finding& finding : entry.findings) {
       report.findings.push_back(std::move(finding));
