@@ -32,7 +32,7 @@
 #include "obs/counters.hpp"
 #include "obs/observer.hpp"
 #include "obs/trace_sink.hpp"
-#include "obs/utilization.hpp"
+#include "obs_export/utilization.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 

@@ -52,8 +52,8 @@ int run(int argc, const char* const* argv) {
     opt.max_book_ahead = ahead;
     add_row(heuristics::NamedScheduler{
         "bookahead x" + std::to_string(ahead),
-        [opt](const Network& n, std::span<const Request> r) {
-          return heuristics::schedule_flexible_bookahead(n, r, opt);
+        [opt](const Network& n, std::span<const Request> r, obs::Observer* o) {
+          return heuristics::schedule_flexible_bookahead(n, r, opt, o);
         }});
   }
 

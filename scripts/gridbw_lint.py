@@ -2,11 +2,11 @@
 """gridbw-lint: repository hygiene for non-C++ assets.
 
 The C++ domain rules live in the in-tree static analyzer,
-`tools/gridbw_analyze` (ctest `gridbw_analyze`): layering,
-unordered-iteration determinism, wall-clock reads and hot-path hygiene,
-with proper lexing; its only exception mechanism is a per-line
-GRIDBW-ALLOW comment. This script keeps the checks that are not about C++
-sources at all.
+`tools/gridbw_analyze` (ctest `gridbw_analyze`): unordered-iteration
+determinism, wall-clock reads and hot-path hygiene, with proper lexing;
+its only exception mechanism is a per-line GRIDBW-ALLOW comment. This script keeps the checks that are not about C++
+code: scripts, JSON, CMake, and the one include spelling the build's
+include roots cannot refuse.
 
 Run as a ctest (`ctest -R gridbw_lint`) or directly:
 
@@ -26,6 +26,12 @@ Rules:
       Every gridbw_* library target declared in src/*/CMakeLists.txt links
       the `gridbw_warnings` interface target, so no module can drop out of
       the -Wall/-Wextra/-Wconversion wall unnoticed.
+
+  gridbw-include-escape
+      No quoted #include under src/ has a `..` path component. The module
+      DAG is enforced by per-module include roots, but a quoted include is
+      first looked up beside the includer, so `#include "../heuristics/x.hpp"`
+      in src/core/ would still compile.
 """
 
 from __future__ import annotations
@@ -117,6 +123,31 @@ def check_cmake(root: pathlib.Path) -> list[Finding]:
     return findings
 
 
+QUOTED_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]*)"')
+
+
+def check_include_escape(root: pathlib.Path) -> list[Finding]:
+    findings: list[Finding] = []
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in {".cpp", ".hpp"}:
+            continue
+        rel = path.relative_to(root).as_posix()
+        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+        for number, line in enumerate(lines, start=1):
+            match = QUOTED_INCLUDE.match(line)
+            if match and ".." in match.group(1).split("/"):
+                findings.append(
+                    Finding(
+                        rel,
+                        number,
+                        "gridbw-include-escape",
+                        f"'{match.group(1)}' climbs out of the module's include "
+                        "root — include it as <module>/<header>",
+                    )
+                )
+    return findings
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default=".", help="repository root")
@@ -127,7 +158,12 @@ def main() -> int:
         print(f"gridbw-lint: no src/ under {root}", file=sys.stderr)
         return 2
 
-    findings = check_shell(root) + check_json(root) + check_cmake(root)
+    findings = (
+        check_shell(root)
+        + check_json(root)
+        + check_cmake(root)
+        + check_include_escape(root)
+    )
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
 
     for finding in findings:

@@ -36,12 +36,12 @@
 // Thread safety: queries may trigger the lazy merge and therefore mutate
 // internal caches even though they are declared `const`. A profile is safe
 // to share across threads for read-only queries only once `ensure_merged()`
-// (alias: `compile()`) has run — it also completes the prefix-max cache —
-// and no further `add`/`compact`/`retire_before` happens; two
-// threads racing the first query on an unmerged profile is a data race that
-// ThreadSanitizer reports (tests/tsan_stress_test.cpp exercises the merged
-// path and a running max left stale by a windowed query's merge). Distinct
-// profiles are always independent.
+// has run — it also completes the prefix-max cache — and no further
+// `add`/`compact`/`retire_before` happens; two threads racing the first
+// query on an unmerged profile is a data race that ThreadSanitizer reports
+// (tests/tsan_stress_test.cpp exercises the merged path and a running max
+// left stale by a windowed query's merge). Distinct profiles are always
+// independent.
 
 #pragma once
 
@@ -68,9 +68,6 @@ class TimelineProfile {
   /// next `add`/`compact`/`retire_before`), every query is a pure read and
   /// any number of threads may query concurrently.
   void ensure_merged() const;
-
-  /// Back-compatible alias for `ensure_merged()`.
-  void compile() const { ensure_merged(); }
 
   /// True when queries are pure reads: no pending adds are buffered and the
   /// prefix-max cache is complete.

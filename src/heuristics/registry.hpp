@@ -9,7 +9,6 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,20 +28,8 @@ struct NamedScheduler {
                                            obs::Observer*)>;
 
   NamedScheduler() = default;
-
-  /// Accepts both observer-aware callables (3 args) and legacy 2-arg ones;
-  /// the latter are adapted by dropping the observer, so pre-observability
-  /// construction sites keep compiling unchanged.
-  template <typename F>
-  NamedScheduler(std::string scheduler_name, F fn) : name{std::move(scheduler_name)} {
-    if constexpr (std::is_invocable_r_v<ScheduleResult, F&, const Network&,
-                                        std::span<const Request>, obs::Observer*>) {
-      run_fn = std::move(fn);
-    } else {
-      run_fn = [f = std::move(fn)](const Network& n, std::span<const Request> r,
-                                   obs::Observer*) { return f(n, r); };
-    }
-  }
+  NamedScheduler(std::string scheduler_name, Run fn)
+      : name{std::move(scheduler_name)}, run_fn{std::move(fn)} {}
 
   [[nodiscard]] ScheduleResult run(const Network& network,
                                    std::span<const Request> requests,

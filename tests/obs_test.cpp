@@ -25,7 +25,7 @@
 #include "obs/event.hpp"
 #include "obs/observer.hpp"
 #include "obs/trace_sink.hpp"
-#include "obs/utilization.hpp"
+#include "obs_export/utilization.hpp"
 #include "workload/generator.hpp"
 #include "workload/load.hpp"
 #include "workload/scenario.hpp"

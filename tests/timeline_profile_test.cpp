@@ -105,7 +105,7 @@ TEST(TimelineProfile, PendingBufferMergesAcrossBatches) {
 TEST(TimelineProfile, CompileAllowsConstSharedQueries) {
   TimelineProfile f;
   f.add(at(1), at(9), 2.5);
-  f.compile();
+  f.ensure_merged();
   const TimelineProfile& view = f;
   EXPECT_EQ(view.value_at(at(4)), 2.5);
 }

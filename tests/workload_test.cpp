@@ -87,7 +87,10 @@ TEST(Generator, DeterministicForSameSeed) {
   ASSERT_EQ(ra.size(), rb.size());
   for (std::size_t k = 0; k < ra.size(); ++k) {
     EXPECT_EQ(ra[k].id, rb[k].id);
+    EXPECT_EQ(ra[k].ingress, rb[k].ingress);
+    EXPECT_EQ(ra[k].egress, rb[k].egress);
     EXPECT_EQ(ra[k].release, rb[k].release);
+    EXPECT_EQ(ra[k].deadline, rb[k].deadline);
     EXPECT_EQ(ra[k].volume, rb[k].volume);
     EXPECT_EQ(ra[k].max_rate, rb[k].max_rate);
   }

@@ -6,9 +6,6 @@
 // no other wall of the repository (the compiler with -Wconversion, the test
 // suite, ASan/UBSan, TSan, gridbw_lint, scripts/sim_grid.sh) catches:
 //
-//   layering        #include edges must follow the module DAG documented in
-//                   DESIGN.md §5f (core never includes heuristics, obs stays
-//                   below core except the export layer, ...)
 //   unordered-iter  iteration over std::unordered_map/unordered_set — order
 //                   is unspecified, so anything that flows into traces,
 //                   reports, or schedule decisions breaks byte-identity
@@ -48,7 +45,7 @@ namespace gridbw::analyze {
 struct Finding {
   std::string path;   // repo-relative, '/'-separated
   int line = 0;
-  std::string check;  // check id, e.g. "layering"
+  std::string check;  // check id, e.g. "wall-clock"
   std::string message;
 
   friend bool operator<(const Finding& a, const Finding& b) {
@@ -111,22 +108,6 @@ struct CheckInfo {
 [[nodiscard]] const std::vector<CheckInfo>& check_catalogue();
 
 // ---------------------------------------------------------------------------
-// Layering
-// ---------------------------------------------------------------------------
-
-/// Module of a src-relative path ("core/ledger.hpp" -> "core"). The
-/// utilization export layer maps to "obs_export"; the umbrella gridbw.hpp
-/// maps to "umbrella". Unknown directories return "" (reported separately).
-[[nodiscard]] std::string module_of(const std::string& src_rel_path);
-
-/// True when module `from` may include headers of module `to` (reflexive,
-/// transitive closure of the CMake link graph).
-[[nodiscard]] bool layering_allows(const std::string& from, const std::string& to);
-
-/// The allowed include set of a module, for diagnostics ("" if unknown).
-[[nodiscard]] std::string layering_allowed_list(const std::string& from);
-
-// ---------------------------------------------------------------------------
 // Analysis
 // ---------------------------------------------------------------------------
 
@@ -136,7 +117,7 @@ struct Options {
 };
 
 /// One scan root under the repository and the check ids it does not run
-/// (wall-clock is relaxed in bench/, layering outside src/).
+/// (wall-clock is relaxed in bench/).
 struct ScanRoot {
   const char* dir;
   std::set<std::string> skip;

@@ -56,7 +56,6 @@ void expect_golden(const std::string& name) {
 
 // --- golden fixtures: one per check (positive + suppressed + negative) ----
 
-TEST(GoldenFixtures, Layering) { expect_golden("layering"); }
 TEST(GoldenFixtures, UnorderedIter) { expect_golden("unordered_iter"); }
 TEST(GoldenFixtures, WallClock) { expect_golden("wall_clock"); }
 TEST(GoldenFixtures, HotPropagation) { expect_golden("hot_propagation"); }
@@ -164,7 +163,7 @@ TEST(Suppression, SameLineAndLineAbove) {
   EXPECT_TRUE(file.suppressed(1, "wall-clock"));
   EXPECT_TRUE(file.suppressed(3, "wall-clock"));
   EXPECT_FALSE(file.suppressed(4, "wall-clock"));
-  EXPECT_FALSE(file.suppressed(1, "layering"));  // id must match exactly
+  EXPECT_FALSE(file.suppressed(1, "unordered-iter"));  // id must match exactly
 }
 
 TEST(Suppression, WorksOnTheLastLineWithoutTrailingNewline) {
@@ -245,49 +244,6 @@ TEST(ScopeModel, CompanionHeaderAnnotationsBindInTheCpp) {
   EXPECT_TRUE(has_finding(report.findings, "hot-propagation", 2));
 }
 
-// --- layering table -------------------------------------------------------
-
-TEST(Layering, ModuleMapping) {
-  EXPECT_EQ(module_of("core/ledger.hpp"), "core");
-  EXPECT_EQ(module_of("obs/trace_sink.hpp"), "obs");
-  EXPECT_EQ(module_of("obs/utilization.hpp"), "obs_export");
-  EXPECT_EQ(module_of("obs/utilization.cpp"), "obs_export");
-  EXPECT_EQ(module_of("gridbw.hpp"), "umbrella");
-  EXPECT_EQ(module_of("nonexistent/x.hpp"), "");
-}
-
-TEST(Layering, CoreStaysBelowSchedulers) {
-  EXPECT_FALSE(layering_allows("core", "heuristics"));
-  EXPECT_FALSE(layering_allows("core", "exact"));
-  EXPECT_FALSE(layering_allows("core", "sim"));
-  EXPECT_TRUE(layering_allows("core", "util"));
-  EXPECT_TRUE(layering_allows("core", "obs"));
-  EXPECT_FALSE(layering_allows("obs", "core"));  // only the ids carve-out
-}
-
-TEST(Layering, TransitiveClosureAndExportLayer) {
-  // control -> heuristics -> core -> util: the closure admits the chain.
-  EXPECT_TRUE(layering_allows("control", "core"));
-  EXPECT_TRUE(layering_allows("control", "util"));
-  EXPECT_TRUE(layering_allows("control", "obs"));
-  EXPECT_FALSE(layering_allows("heuristics", "control"));
-  // Anything that sees core may use the utilization export layer.
-  EXPECT_TRUE(layering_allows("heuristics", "obs_export"));
-  EXPECT_TRUE(layering_allows("metrics", "obs_export"));
-  EXPECT_FALSE(layering_allows("obs", "obs_export"));
-  EXPECT_FALSE(layering_allows("sim", "obs_export"));
-  // The churn service sits beside the schedulers: above core/obs, and
-  // nothing below may reach up into it.
-  EXPECT_TRUE(layering_allows("service", "core"));
-  EXPECT_TRUE(layering_allows("service", "obs"));
-  EXPECT_TRUE(layering_allows("service", "obs_export"));
-  EXPECT_FALSE(layering_allows("service", "heuristics"));
-  EXPECT_FALSE(layering_allows("core", "service"));
-  // The umbrella header sees everything; nothing includes it back.
-  EXPECT_TRUE(layering_allows("umbrella", "control"));
-  EXPECT_FALSE(layering_allows("metrics", "umbrella"));
-}
-
 // --- lexer-lite -----------------------------------------------------------
 
 TEST(Stripper, PreservesLineStructure) {
@@ -303,24 +259,50 @@ TEST(Stripper, PreservesLineStructure) {
 }
 
 TEST(Stripper, CommentedDirectivesDoNotCount) {
+  // A commented-out quoted include draws no include edge: kernel.cpp stops
+  // seeing helper.hpp, so the walk from sweep no longer reaches expand.
+  const std::string helper_hpp =
+      fixture_text("hot_propagation", "src/core/helper.hpp");
+  const std::string helper_cpp =
+      fixture_text("hot_propagation", "src/core/helper.cpp");
+  const std::string kernel =
+      fixture_text("hot_propagation", "src/core/kernel.cpp");
+  const auto helper_findings = [&](const std::string& kernel_text) {
+    std::size_t count = 0;
+    for (const Finding& f :
+         analyze_loaded({loaded("src/core/helper.cpp", helper_cpp, helper_hpp),
+                         loaded("src/core/helper.hpp", helper_hpp),
+                         loaded("src/core/kernel.cpp", kernel_text)},
+                        Options{})
+             .findings) {
+      if (f.path == "src/core/helper.cpp" && f.check == "hot-propagation") ++count;
+    }
+    return count;
+  };
+  ASSERT_EQ(helper_findings(kernel), 1u);
+  EXPECT_EQ(helper_findings(mutate(kernel, "#include \"core/helper.hpp\"",
+                                   "// #include \"core/helper.hpp\"")),
+            0u);
   EXPECT_TRUE(analyze_text("src/core/x.cpp",
-                           "// #include \"heuristics/rigid_fcfs.hpp\"\nint a;\n")
+                           "// long t = std::time(nullptr);\nint a;\n")
                   .empty());
 }
 
 // --- check filtering and output rendering ---------------------------------
 
 TEST(Options, ChecksFilterRestrictsToListed) {
-  Options only_layering;
-  only_layering.checks.insert("layering");
+  const LoadedFile file = loaded("src/core/x.cpp",
+                                 "std::unordered_map<int, int> m;\n"
+                                 "void f() { for (auto& kv : m) (void)kv; }\n"
+                                 "long t = std::time(nullptr);\n");
+  ASSERT_TRUE(has_finding(analyze_loaded({file}, Options{}).findings,
+                          "unordered-iter", 2));
+  Options only_wall_clock;
+  only_wall_clock.checks.insert("wall-clock");
   const std::vector<Finding> findings =
-      analyze_loaded({loaded("src/core/x.cpp",
-                             "#include \"heuristics/a.hpp\"\n"
-                             "long t = std::time(nullptr);\n")},
-                     only_layering)
-          .findings;
+      analyze_loaded({file}, only_wall_clock).findings;
   ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].check, "layering");
+  EXPECT_EQ(findings[0].check, "wall-clock");
 }
 
 TEST(Output, JsonIsEscapedAndDeterministic) {
@@ -336,7 +318,7 @@ TEST(Catalogue, ListsAllFiveChecks) {
   // The checks no other wall catches, in catalogue order; the
   // interprocedural family closes it.
   const std::vector<CheckInfo>& catalogue = check_catalogue();
-  const std::vector<std::string> expected = {"layering", "unordered-iter", "wall-clock",
+  const std::vector<std::string> expected = {"unordered-iter", "wall-clock",
                                              "hot-propagation", "hot-call-unresolved"};
   std::vector<std::string> ids;
   for (const CheckInfo& check : catalogue) ids.emplace_back(check.id);

@@ -1,4 +1,4 @@
-// The per-file catalogue: layering, unordered-iter, wall-clock.
+// The per-file catalogue: unordered-iter, wall-clock.
 
 #include "scan.hpp"
 
@@ -10,42 +10,6 @@
 namespace gridbw::analyze {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// layering
-// ---------------------------------------------------------------------------
-
-void check_layering(FileEntry& entry) {
-  const std::string from = module_of(entry.root_rel);
-  for (std::size_t i = 0; i < entry.file.code_lines.size(); ++i) {
-    const std::string target = quoted_include(entry.file, i);
-    if (target.find('/') == std::string::npos && target != "gridbw.hpp") continue;
-    const std::size_t pos = entry.file.starts[i];
-
-    if (from.empty()) {
-      report(entry, pos, "layering",
-             "file is in an unknown module — add the directory to the "
-             "layering DAG in tools/gridbw_analyze/layering.cpp and "
-             "DESIGN.md §5f");
-      return;  // one finding per unknown file is enough
-    }
-    // Carve-out: gridbw_obs may use the header-only id vocabulary.
-    if (from == "obs" && target == "core/ids.hpp") continue;
-    const std::string to = module_of(target);
-    if (to.empty()) {
-      report(entry, pos, "layering",
-             "include of unknown module ('" + target +
-                 "') — add it to the layering DAG in "
-                 "tools/gridbw_analyze/layering.cpp");
-      continue;
-    }
-    if (!layering_allows(from, to)) {
-      report(entry, pos, "layering",
-             "module '" + from + "' may not include '" + to + "' ('" + target +
-                 "'); allowed modules: " + layering_allowed_list(from));
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // unordered-iter
@@ -153,8 +117,6 @@ void check_wall_clock(FileEntry& entry) {
 
 const std::vector<CheckInfo>& check_catalogue() {
   static const std::vector<CheckInfo> kCatalogue = {
-      {"layering",
-       "#include edges must follow the module DAG (DESIGN.md §5f)"},
       {"unordered-iter",
        "no iteration over unordered containers (unspecified order)"},
       {"wall-clock",
@@ -169,7 +131,6 @@ const std::vector<CheckInfo>& check_catalogue() {
 }
 
 void run_file_checks(FileEntry& entry) {
-  check_layering(entry);
   check_unordered_iter(entry);
   check_wall_clock(entry);
 }

@@ -1,5 +1,5 @@
-// Fixture: the tools/ profile keeps wall-clock on (layering is the check
-// relaxed there).
+// Fixture: the tools/ profile runs the full catalogue, wall-clock included
+// (only bench/ relaxes it).
 #include <chrono>
 
 namespace fixture {

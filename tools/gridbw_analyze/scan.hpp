@@ -202,8 +202,7 @@ inline void report(FileEntry& entry, std::size_t pos, const std::string& check,
       Finding{entry.file.rel_path, line, check, std::move(message)});
 }
 
-/// The per-file catalogue (checks.cpp): layering, unordered-iter,
-/// wall-clock.
+/// The per-file catalogue (checks.cpp): unordered-iter, wall-clock.
 void run_file_checks(FileEntry& entry);
 
 /// hot-propagation and hot-call-unresolved over the call graph of all

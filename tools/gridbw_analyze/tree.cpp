@@ -56,11 +56,10 @@ std::string render_json(const std::vector<Finding>& findings) {
 const std::vector<ScanRoot>& scan_roots() {
   static const std::vector<ScanRoot> kRoots = {
       {"src", {}},
-      // The module DAG is the library's; the other roots sit outside it.
-      {"tools", {"layering"}},
+      {"tools", {}},
       // bench: measures the machine.
-      {"bench", {"layering", "wall-clock"}},
-      {"tests", {"layering"}},
+      {"bench", {"wall-clock"}},
+      {"tests", {}},
   };
   return kRoots;
 }
