@@ -7,13 +7,13 @@
 
 #include <vector>
 
-#include "baseline/maxmin.hpp"
 #include "support/step_function.hpp"
 #include "core/timeline_profile.hpp"
 #include "heuristics/flexible_greedy.hpp"
 #include "heuristics/flexible_window.hpp"
 #include "heuristics/rigid_fcfs.hpp"
 #include "heuristics/rigid_slots.hpp"
+#include "heuristics/water_fill.hpp"
 #include "workload/generator.hpp"
 #include "workload/load.hpp"
 #include "workload/scenario.hpp"
@@ -162,17 +162,26 @@ void BM_TimelineProfileInterleaved(benchmark::State& state) {
 BENCHMARK(BM_TimelineProfileInterleaved)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_MaxMinAllocation(benchmark::State& state) {
+  // The fluid baseline's fill: guarantee 0, each flow capped by its MaxRate.
   const auto flows_count = static_cast<std::size_t>(state.range(0));
   Rng rng{8};
-  std::vector<baseline::ActiveFlow> flows;
+  std::vector<heuristics::FillFlow> flows;
   for (std::size_t k = 0; k < flows_count; ++k) {
-    flows.push_back(baseline::ActiveFlow{
-        IngressId{static_cast<std::size_t>(rng.uniform_int(0, 9))},
-        EgressId{static_cast<std::size_t>(rng.uniform_int(0, 9))},
-        Bandwidth::megabytes_per_second(rng.uniform(10, 1000))});
+    flows.push_back(heuristics::FillFlow{
+        static_cast<std::size_t>(rng.uniform_int(0, 9)),
+        static_cast<std::size_t>(rng.uniform_int(0, 9)), 0.0,
+        Bandwidth::megabytes_per_second(rng.uniform(10, 1000)).to_bytes_per_second()});
   }
+  const std::vector<double> in_capacity =
+      heuristics::to_bytes_per_second(paper_network().ingress_capacities());
+  const std::vector<double> out_capacity =
+      heuristics::to_bytes_per_second(paper_network().egress_capacities());
+  std::vector<double> rates;
+  heuristics::FillScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(baseline::maxmin_allocation(paper_network(), flows));
+    heuristics::water_fill(flows, in_capacity, out_capacity, rates, scratch);
+    benchmark::DoNotOptimize(rates.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(flows_count));
 }

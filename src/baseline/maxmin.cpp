@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "heuristics/water_fill.hpp"
+
 namespace gridbw::baseline {
 
 std::size_t MaxMinResult::completed_count() const {
@@ -34,92 +36,11 @@ Volume MaxMinResult::useful_bytes() const {
   return total;
 }
 
-std::vector<Bandwidth> maxmin_allocation(const Network& network,
-                                         std::span<const ActiveFlow> flows) {
-  const std::size_t count = flows.size();
-  std::vector<double> rate(count, 0.0);
-  std::vector<char> frozen(count, 0);
-
-  std::vector<double> rem_in(network.ingress_count());
-  std::vector<double> rem_out(network.egress_count());
-  for (std::size_t i = 0; i < rem_in.size(); ++i) {
-    rem_in[i] = network.ingress_capacity(IngressId{i}).to_bytes_per_second();
-  }
-  for (std::size_t e = 0; e < rem_out.size(); ++e) {
-    rem_out[e] = network.egress_capacity(EgressId{e}).to_bytes_per_second();
-  }
-
-  // Progressive filling: raise all unfrozen flows equally until a port
-  // saturates or a flow reaches its host limit; freeze and repeat.
-  std::size_t unfrozen = count;
-  while (unfrozen > 0) {
-    std::vector<std::size_t> users_in(rem_in.size(), 0), users_out(rem_out.size(), 0);
-    for (std::size_t f = 0; f < count; ++f) {
-      if (frozen[f]) continue;
-      ++users_in[flows[f].ingress.value];
-      ++users_out[flows[f].egress.value];
-    }
-
-    double delta = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < rem_in.size(); ++i) {
-      if (users_in[i] > 0) delta = std::min(delta, rem_in[i] / static_cast<double>(users_in[i]));
-    }
-    for (std::size_t e = 0; e < rem_out.size(); ++e) {
-      if (users_out[e] > 0) delta = std::min(delta, rem_out[e] / static_cast<double>(users_out[e]));
-    }
-    for (std::size_t f = 0; f < count; ++f) {
-      if (frozen[f]) continue;
-      delta = std::min(delta, flows[f].max_rate.to_bytes_per_second() - rate[f]);
-    }
-    delta = std::max(delta, 0.0);
-
-    for (std::size_t f = 0; f < count; ++f) {
-      if (frozen[f]) continue;
-      rate[f] += delta;
-      rem_in[flows[f].ingress.value] -= delta;
-      rem_out[flows[f].egress.value] -= delta;
-    }
-
-    // Freeze flows that hit their host limit or sit on a saturated port.
-    bool froze_any = false;
-    for (std::size_t f = 0; f < count; ++f) {
-      if (frozen[f]) continue;
-      const double cap_in = network.ingress_capacity(flows[f].ingress).to_bytes_per_second();
-      const double cap_out = network.egress_capacity(flows[f].egress).to_bytes_per_second();
-      const bool at_host_limit =
-          rate[f] >= flows[f].max_rate.to_bytes_per_second() - 1e-6;
-      const bool in_saturated = rem_in[flows[f].ingress.value] <= 1e-9 * cap_in + 1e-6;
-      const bool out_saturated = rem_out[flows[f].egress.value] <= 1e-9 * cap_out + 1e-6;
-      if (at_host_limit || in_saturated || out_saturated) {
-        frozen[f] = 1;
-        froze_any = true;
-        --unfrozen;
-      }
-    }
-    if (!froze_any) {
-      // delta == 0 with nothing newly frozen would loop forever; freeze
-      // everything (numerical corner).
-      for (std::size_t f = 0; f < count; ++f) {
-        if (!frozen[f]) {
-          frozen[f] = 1;
-          --unfrozen;
-        }
-      }
-    }
-  }
-
-  std::vector<Bandwidth> out(count);
-  for (std::size_t f = 0; f < count; ++f) out[f] = Bandwidth::bytes_per_second(rate[f]);
-  return out;
-}
-
 namespace {
 
 struct LiveFlow {
   std::size_t index;  // into the original request span / result vector
-  IngressId ingress;
-  EgressId egress;
-  Bandwidth max_rate;
+  heuristics::FillFlow fill;
   TimePoint deadline;
   double remaining_bytes;
 };
@@ -143,6 +64,14 @@ MaxMinResult simulate_maxmin(const Network& network, std::span<const Request> re
                                   Volume::zero()};
   }
 
+  const std::vector<double> in_capacity =
+      heuristics::to_bytes_per_second(network.ingress_capacities());
+  const std::vector<double> out_capacity =
+      heuristics::to_bytes_per_second(network.egress_capacities());
+  std::vector<heuristics::FillFlow> fill;
+  std::vector<double> rates;
+  heuristics::FillScratch scratch;
+
   std::vector<LiveFlow> live;
   std::size_t next_arrival = 0;
   TimePoint now = requests.empty() ? TimePoint::origin()
@@ -157,17 +86,16 @@ MaxMinResult simulate_maxmin(const Network& network, std::span<const Request> re
            requests[arrival_order[next_arrival]].release <= now) {
       const std::size_t k = arrival_order[next_arrival++];
       const Request& r = requests[k];
-      live.push_back(LiveFlow{k, r.ingress, r.egress, r.max_rate, r.deadline,
-                              r.volume.to_bytes()});
+      live.push_back(LiveFlow{k,
+                              {r.ingress.value, r.egress.value, 0.0,
+                               r.max_rate.to_bytes_per_second()},
+                              r.deadline, r.volume.to_bytes()});
     }
 
     // Current max-min rates.
-    std::vector<ActiveFlow> active;
-    active.reserve(live.size());
-    for (const LiveFlow& f : live) {
-      active.push_back(ActiveFlow{f.ingress, f.egress, f.max_rate});
-    }
-    const std::vector<Bandwidth> rates = maxmin_allocation(network, active);
+    fill.clear();
+    for (const LiveFlow& f : live) fill.push_back(f.fill);
+    heuristics::water_fill(fill, in_capacity, out_capacity, rates, scratch);
 
     // Next event: arrival, earliest completion, or earliest deadline.
     double dt = std::numeric_limits<double>::infinity();
@@ -175,8 +103,7 @@ MaxMinResult simulate_maxmin(const Network& network, std::span<const Request> re
       dt = requests[arrival_order[next_arrival]].release.to_seconds() - now.to_seconds();
     }
     for (std::size_t f = 0; f < live.size(); ++f) {
-      const double rate = rates[f].to_bytes_per_second();
-      if (rate > 0.0) dt = std::min(dt, live[f].remaining_bytes / rate);
+      if (rates[f] > 0.0) dt = std::min(dt, live[f].remaining_bytes / rates[f]);
       dt = std::min(dt, live[f].deadline.to_seconds() - now.to_seconds());
     }
     dt = std::max(dt, 0.0);
@@ -184,7 +111,7 @@ MaxMinResult simulate_maxmin(const Network& network, std::span<const Request> re
     // Advance the fluid by dt.
     now += Duration::seconds(dt);
     for (std::size_t f = 0; f < live.size(); ++f) {
-      const double moved = rates[f].to_bytes_per_second() * dt;
+      const double moved = rates[f] * dt;
       live[f].remaining_bytes = std::max(0.0, live[f].remaining_bytes - moved);
       result.flows[live[f].index].transferred += Volume::bytes(moved);
     }

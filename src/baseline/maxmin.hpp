@@ -49,21 +49,9 @@ struct MaxMinResult {
 };
 
 /// Runs the max-min fluid sharing simulation over the request set. Rates
-/// are recomputed at every arrival, completion, and deadline event.
+/// are recomputed at every arrival, completion, and deadline event by
+/// heuristics::water_fill from guarantee 0, each flow capped by its MaxRate.
 [[nodiscard]] MaxMinResult simulate_maxmin(const Network& network,
                                            std::span<const Request> requests);
-
-/// The instantaneous max-min fair allocation for a set of active flows:
-/// returns per-flow rates. Exposed for unit tests (progressive filling has
-/// crisp hand-checkable cases). `ingress`/`egress`/`cap` describe each
-/// flow; rates are capped by `max_rate`.
-struct ActiveFlow {
-  IngressId ingress;
-  EgressId egress;
-  Bandwidth max_rate;
-};
-
-[[nodiscard]] std::vector<Bandwidth> maxmin_allocation(const Network& network,
-                                                       std::span<const ActiveFlow> flows);
 
 }  // namespace gridbw::baseline

@@ -7,8 +7,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "baseline/maxmin.hpp"
 #include "core/timeline_profile.hpp"
+#include "heuristics/water_fill.hpp"
 
 namespace gridbw::dataplane {
 namespace {
@@ -124,9 +124,21 @@ ReplayReport replay_unpoliced(const Network& network, std::span<const Request> r
     report.transfers[k].dropped = Volume::zero();  // nothing polices, nothing drops
   }
 
+  const std::vector<double> in_capacity =
+      heuristics::to_bytes_per_second(network.ingress_capacities());
+  const std::vector<double> out_capacity =
+      heuristics::to_bytes_per_second(network.egress_capacities());
+  std::vector<heuristics::FillFlow> fill;
+  std::vector<double> rates;
+  heuristics::FillScratch scratch;
+  std::vector<double> in_sum;
+  std::vector<double> out_sum;
+
+  // Senders offer their reservation (times misbehave_factor when
+  // misbehaving) and the ports share it max-min from guarantee 0.
   struct Live {
     std::size_t index;
-    baseline::ActiveFlow active;
+    heuristics::FillFlow fill;
     double remaining_bytes;
   };
   std::vector<Live> live;
@@ -142,34 +154,31 @@ ReplayReport replay_unpoliced(const Network& network, std::span<const Request> r
                                     ? f.assignment.bw * options.misbehave_factor
                                     : f.assignment.bw;
       live.push_back(Live{next_start,
-                          baseline::ActiveFlow{f.request->ingress, f.request->egress,
-                                               offered},
+                          {f.request->ingress.value, f.request->egress.value, 0.0,
+                           offered.to_bytes_per_second()},
                           f.request->volume.to_bytes()});
       ++next_start;
     }
 
-    std::vector<baseline::ActiveFlow> active;
-    active.reserve(live.size());
-    for (const Live& f : live) active.push_back(f.active);
-    const auto rates = baseline::maxmin_allocation(network, active);
+    fill.clear();
+    for (const Live& f : live) fill.push_back(f.fill);
+    heuristics::water_fill(fill, in_capacity, out_capacity, rates, scratch);
 
     // Track the worst instantaneous port load (physically <= 1; reported
     // for symmetry with replay_policed).
-    std::vector<double> in_sum(network.ingress_count(), 0.0);
-    std::vector<double> out_sum(network.egress_count(), 0.0);
+    in_sum.assign(in_capacity.size(), 0.0);
+    out_sum.assign(out_capacity.size(), 0.0);
     for (std::size_t f = 0; f < live.size(); ++f) {
-      in_sum[live[f].active.ingress.value] += rates[f].to_bytes_per_second();
-      out_sum[live[f].active.egress.value] += rates[f].to_bytes_per_second();
+      in_sum[live[f].fill.ingress] += rates[f];
+      out_sum[live[f].fill.egress] += rates[f];
     }
     for (std::size_t i = 0; i < in_sum.size(); ++i) {
-      report.peak_port_utilization = std::max(
-          report.peak_port_utilization,
-          in_sum[i] / network.ingress_capacity(IngressId{i}).to_bytes_per_second());
+      report.peak_port_utilization =
+          std::max(report.peak_port_utilization, in_sum[i] / in_capacity[i]);
     }
     for (std::size_t e = 0; e < out_sum.size(); ++e) {
-      report.peak_port_utilization = std::max(
-          report.peak_port_utilization,
-          out_sum[e] / network.egress_capacity(EgressId{e}).to_bytes_per_second());
+      report.peak_port_utilization =
+          std::max(report.peak_port_utilization, out_sum[e] / out_capacity[e]);
     }
 
     double dt = std::numeric_limits<double>::infinity();
@@ -177,15 +186,13 @@ ReplayReport replay_unpoliced(const Network& network, std::span<const Request> r
       dt = flows[next_start].assignment.start.to_seconds() - now.to_seconds();
     }
     for (std::size_t f = 0; f < live.size(); ++f) {
-      const double rate = rates[f].to_bytes_per_second();
-      if (rate > 0.0) dt = std::min(dt, live[f].remaining_bytes / rate);
+      if (rates[f] > 0.0) dt = std::min(dt, live[f].remaining_bytes / rates[f]);
     }
     dt = std::max(dt, 0.0);
 
     now += Duration::seconds(dt);
     for (std::size_t f = 0; f < live.size(); ++f) {
-      live[f].remaining_bytes =
-          std::max(0.0, live[f].remaining_bytes - rates[f].to_bytes_per_second() * dt);
+      live[f].remaining_bytes = std::max(0.0, live[f].remaining_bytes - rates[f] * dt);
     }
     std::erase_if(live, [&](const Live& f) {
       if (f.remaining_bytes <= 1e-3) {

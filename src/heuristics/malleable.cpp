@@ -51,14 +51,11 @@ class FluidBook {
  public:
   FluidBook(const Network& network, bool reshape, obs::Observer* observer,
             ScheduleResult& result)
-      : reshape_{reshape}, observer_{observer}, result_{&result} {
-    for (std::size_t p = 0; p < network.ingress_count(); ++p) {
-      in_capacity_.push_back(network.ingress_capacity(IngressId{p}).to_bytes_per_second());
-    }
-    for (std::size_t p = 0; p < network.egress_count(); ++p) {
-      out_capacity_.push_back(network.egress_capacity(EgressId{p}).to_bytes_per_second());
-    }
-  }
+      : reshape_{reshape},
+        observer_{observer},
+        result_{&result},
+        in_capacity_{to_bytes_per_second(network.ingress_capacities())},
+        out_capacity_{to_bytes_per_second(network.egress_capacities())} {}
 
   /// Starts an admitted flow at its guarantee rate. The caller has already
   /// allocated the guarantee in its ledger and emitted note_accepted.

@@ -2,8 +2,9 @@
 //
 // A minimal discrete-event simulator: a clock plus an EventQueue. Handlers
 // scheduled with `at` / `after` run in time order (FIFO among ties) and may
-// schedule further events. The online heuristics, the max-min fluid
-// baseline, and the control-plane substrate all run on this kernel.
+// schedule further events. The control-plane substrate
+// (control/control_plane.cpp) runs on this kernel; the online heuristics and
+// the max-min fluid baseline step their own event loops.
 
 #pragma once
 

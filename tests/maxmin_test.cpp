@@ -1,10 +1,13 @@
-// Tests for the max-min fair-share fluid baseline.
+// Tests for the max-min fair-share fluid baseline and the hand-checkable
+// allocations of the fill it runs on.
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "baseline/maxmin.hpp"
+#include "heuristics/water_fill.hpp"
 #include "workload/generator.hpp"
 #include "workload/scenario.hpp"
 
@@ -14,19 +17,36 @@ namespace {
 TimePoint at(double s) { return TimePoint::at_seconds(s); }
 Bandwidth mbps(double m) { return Bandwidth::megabytes_per_second(m); }
 
+// The fluid baseline's allocation: heuristics::water_fill from guarantee 0,
+// each flow capped by its MaxRate, on the ports of `net`.
+heuristics::FillFlow flow(std::size_t in, std::size_t out, Bandwidth max_rate) {
+  return {in, out, 0.0, max_rate.to_bytes_per_second()};
+}
+
+std::vector<Bandwidth> maxmin_rates(const Network& net,
+                                    std::span<const heuristics::FillFlow> flows) {
+  std::vector<double> rates;
+  heuristics::FillScratch scratch;
+  heuristics::water_fill(flows, heuristics::to_bytes_per_second(net.ingress_capacities()),
+                         heuristics::to_bytes_per_second(net.egress_capacities()), rates,
+                         scratch);
+  std::vector<Bandwidth> out;
+  for (const double r : rates) out.push_back(Bandwidth::bytes_per_second(r));
+  return out;
+}
+
 TEST(MaxMinAllocation, SingleFlowGetsItsHostRate) {
   const Network net = Network::uniform(1, 1, mbps(100));
-  const std::vector<ActiveFlow> flows{{IngressId{0}, EgressId{0}, mbps(40)}};
-  const auto rates = maxmin_allocation(net, flows);
+  const std::vector flows{flow(0, 0, mbps(40))};
+  const auto rates = maxmin_rates(net, flows);
   ASSERT_EQ(rates.size(), 1u);
   EXPECT_NEAR(rates[0].to_megabytes_per_second(), 40.0, 1e-6);
 }
 
 TEST(MaxMinAllocation, EqualFlowsShareEqually) {
   const Network net = Network::uniform(1, 1, mbps(100));
-  const std::vector<ActiveFlow> flows{{IngressId{0}, EgressId{0}, mbps(1000)},
-                                      {IngressId{0}, EgressId{0}, mbps(1000)}};
-  const auto rates = maxmin_allocation(net, flows);
+  const std::vector flows{flow(0, 0, mbps(1000)), flow(0, 0, mbps(1000))};
+  const auto rates = maxmin_rates(net, flows);
   EXPECT_NEAR(rates[0].to_megabytes_per_second(), 50.0, 1e-6);
   EXPECT_NEAR(rates[1].to_megabytes_per_second(), 50.0, 1e-6);
 }
@@ -34,9 +54,8 @@ TEST(MaxMinAllocation, EqualFlowsShareEqually) {
 TEST(MaxMinAllocation, HostLimitedFlowReleasesShareToOthers) {
   const Network net = Network::uniform(1, 1, mbps(100));
   // Flow 0 capped at 20; flow 1 takes the remaining 80.
-  const std::vector<ActiveFlow> flows{{IngressId{0}, EgressId{0}, mbps(20)},
-                                      {IngressId{0}, EgressId{0}, mbps(1000)}};
-  const auto rates = maxmin_allocation(net, flows);
+  const std::vector flows{flow(0, 0, mbps(20)), flow(0, 0, mbps(1000))};
+  const auto rates = maxmin_rates(net, flows);
   EXPECT_NEAR(rates[0].to_megabytes_per_second(), 20.0, 1e-6);
   EXPECT_NEAR(rates[1].to_megabytes_per_second(), 80.0, 1e-6);
 }
@@ -48,10 +67,9 @@ TEST(MaxMinAllocation, CrossBottlenecks) {
   // (in0 saturates), then C continues to 50 only if out1 allows: out1
   // carries B+C = 100 -> saturated at 50 each.
   const Network net = Network::uniform(2, 2, mbps(100));
-  const std::vector<ActiveFlow> flows{{IngressId{0}, EgressId{0}, mbps(1000)},
-                                      {IngressId{0}, EgressId{1}, mbps(1000)},
-                                      {IngressId{1}, EgressId{1}, mbps(1000)}};
-  const auto rates = maxmin_allocation(net, flows);
+  const std::vector flows{flow(0, 0, mbps(1000)), flow(0, 1, mbps(1000)),
+                          flow(1, 1, mbps(1000))};
+  const auto rates = maxmin_rates(net, flows);
   EXPECT_NEAR(rates[0].to_megabytes_per_second(), 50.0, 1e-6);
   EXPECT_NEAR(rates[1].to_megabytes_per_second(), 50.0, 1e-6);
   EXPECT_NEAR(rates[2].to_megabytes_per_second(), 50.0, 1e-6);
@@ -61,36 +79,33 @@ TEST(MaxMinAllocation, UnbalancedBottleneckGivesLexicographicMax) {
   // in0 carries 3 flows, in1 carries 1; all to distinct egresses of 100.
   // The in0 flows get 100/3 each; the lone flow gets its full egress 100.
   const Network net = Network::uniform(2, 4, mbps(100));
-  const std::vector<ActiveFlow> flows{{IngressId{0}, EgressId{0}, mbps(1000)},
-                                      {IngressId{0}, EgressId{1}, mbps(1000)},
-                                      {IngressId{0}, EgressId{2}, mbps(1000)},
-                                      {IngressId{1}, EgressId{3}, mbps(1000)}};
-  const auto rates = maxmin_allocation(net, flows);
+  const std::vector flows{flow(0, 0, mbps(1000)), flow(0, 1, mbps(1000)),
+                          flow(0, 2, mbps(1000)), flow(1, 3, mbps(1000))};
+  const auto rates = maxmin_rates(net, flows);
   EXPECT_NEAR(rates[0].to_megabytes_per_second(), 100.0 / 3.0, 1e-6);
   EXPECT_NEAR(rates[3].to_megabytes_per_second(), 100.0, 1e-6);
 }
 
 TEST(MaxMinAllocation, EmptyFlowSet) {
   const Network net = Network::uniform(1, 1, mbps(100));
-  EXPECT_TRUE(maxmin_allocation(net, std::vector<ActiveFlow>{}).empty());
+  EXPECT_TRUE(maxmin_rates(net, std::vector<heuristics::FillFlow>{}).empty());
 }
 
 TEST(MaxMinAllocation, NeverExceedsPortCapacity) {
   Rng rng{71};
   const Network net = Network::uniform(3, 3, mbps(100));
-  std::vector<ActiveFlow> flows;
+  std::vector<heuristics::FillFlow> flows;
   for (int k = 0; k < 20; ++k) {
-    flows.push_back(ActiveFlow{IngressId{static_cast<std::size_t>(rng.uniform_int(0, 2))},
-                               EgressId{static_cast<std::size_t>(rng.uniform_int(0, 2))},
-                               mbps(rng.uniform(10, 200))});
+    flows.push_back(flow(static_cast<std::size_t>(rng.uniform_int(0, 2)),
+                         static_cast<std::size_t>(rng.uniform_int(0, 2)),
+                         mbps(rng.uniform(10, 200))));
   }
-  const auto rates = maxmin_allocation(net, flows);
+  const auto rates = maxmin_rates(net, flows);
   std::vector<double> in_sum(3, 0.0), out_sum(3, 0.0);
   for (std::size_t f = 0; f < flows.size(); ++f) {
-    EXPECT_LE(rates[f].to_bytes_per_second(),
-              flows[f].max_rate.to_bytes_per_second() + 1.0);
-    in_sum[flows[f].ingress.value] += rates[f].to_bytes_per_second();
-    out_sum[flows[f].egress.value] += rates[f].to_bytes_per_second();
+    EXPECT_LE(rates[f].to_bytes_per_second(), flows[f].max + 1.0);
+    in_sum[flows[f].ingress] += rates[f].to_bytes_per_second();
+    out_sum[flows[f].egress] += rates[f].to_bytes_per_second();
   }
   for (int p = 0; p < 3; ++p) {
     EXPECT_LE(in_sum[p], 1e8 + 10.0);

@@ -20,8 +20,8 @@ std::vector<double> water_fill(std::span<const heuristics::FillFlow> flows,
   }
   std::vector<double> in_count(in_load.size());
   std::vector<double> out_count(out_load.size());
-  constexpr double kEps = 1e-6;
-  for (std::size_t round = 0; round < 2 * n + 2; ++round) {
+  using heuristics::kFillTol;
+  for (std::size_t round = 0; round <= n; ++round) {
     std::fill(in_count.begin(), in_count.end(), 0.0);
     std::fill(out_count.begin(), out_count.end(), 0.0);
     double inc = std::numeric_limits<double>::infinity();
@@ -29,9 +29,9 @@ std::vector<double> water_fill(std::span<const heuristics::FillFlow> flows,
     for (std::size_t k = 0; k < n; ++k) {
       if (frozen[k]) continue;
       const heuristics::FillFlow& f = flows[k];
-      const double head_in = in_capacity[f.ingress] - in_load[f.ingress];
-      const double head_out = out_capacity[f.egress] - out_load[f.egress];
-      if (rates[k] >= f.max - kEps || head_in <= kEps || head_out <= kEps) {
+      if (rates[k] >= f.max * (1.0 - kFillTol) ||
+          in_load[f.ingress] >= in_capacity[f.ingress] * (1.0 - kFillTol) ||
+          out_load[f.egress] >= out_capacity[f.egress] * (1.0 - kFillTol)) {
         frozen[k] = true;
         continue;
       }
@@ -51,7 +51,6 @@ std::vector<double> water_fill(std::span<const heuristics::FillFlow> flows,
         inc = std::min(inc, (out_capacity[p] - out_load[p]) / out_count[p]);
       }
     }
-    if (!(inc > 0.0)) break;
     for (std::size_t k = 0; k < n; ++k) {
       if (frozen[k]) continue;
       rates[k] += inc;

@@ -4,7 +4,9 @@
 // heuristics::water_fill kept an active list: every round re-walks every
 // flow, re-tests the frozen ones' flags, and recounts the per-port active
 // flows from zero. Kept as the test oracle the compact fill must match bit
-// for bit (tests/water_fill_test.cpp).
+// for bit (tests/water_fill_test.cpp). It shares the kernel's freeze rule
+// (heuristics::kFillTol), so it cannot catch a defect in the rule itself;
+// the bottleneck-condition and scaling tests beside it check that.
 
 #pragma once
 

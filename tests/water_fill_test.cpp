@@ -1,17 +1,22 @@
-// Differential tests for the malleable engines' execution-rate kernel:
-// heuristics::water_fill (active list compacted per round, per-port counts
-// decremented on freeze) must produce exactly the doubles of the literal
-// per-round recount in tests/support — compared bit for bit, on every rate.
+// Tests for the library's max-min fill, heuristics::water_fill. The
+// differential cases compare it (active list compacted per round, per-port
+// counts decremented on freeze) to the literal per-round recount in
+// tests/support bit for bit, on every rate. The recount shares the kernel's
+// freeze rule, so two properties are checked without it: the bottleneck
+// condition of max-min fairness, and exact power-of-two scaling.
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "heuristics/water_fill.hpp"
 #include "support/water_fill_oracle.hpp"
 #include "util/random.hpp"
+#include "workload/generator.hpp"
+#include "workload/scenario.hpp"
 
 namespace gridbw::heuristics {
 namespace {
@@ -161,12 +166,14 @@ TEST(WaterFillDifferential, PortsSaturatedByGuaranteesAlone) {
 }
 
 TEST(WaterFillDifferential, HeadroomInsideEps) {
-  // Ingress 0 holds 4e8 B/s of guarantees. Headroom inside the 1e-6 B/s
-  // freeze tolerance freezes its flows at their guarantees; headroom past it
-  // lets them rise. Around the tolerance itself the rounding of 4e8 + h
-  // decides, and only the oracle says which way.
+  // Ingress 0 holds 4e8 B/s of guarantees. Headroom inside the freeze
+  // tolerance (kFillTol of the capacity, ~4e-4 B/s here) freezes its flows
+  // at their guarantees; headroom past it lets them rise. Around the
+  // tolerance itself the rounding of 4e8 + h decides, and only the oracle
+  // says which way.
   FillScratch shared;
-  for (const double headroom : {0.0, 0.5e-6, 1e-6, 2e-6, 1e-3}) {
+  const double tol = kFillTol * 4e8;
+  for (const double headroom : {0.0, 0.5 * tol, tol, 2 * tol, 1e3 * tol}) {
     SCOPED_TRACE(testing::Message() << "headroom=" << headroom);
     const double cap = 4e8 + headroom;
     FillCase c{{}, {cap, kGBps}, {kGBps, kGBps}};
@@ -175,10 +182,143 @@ TEST(WaterFillDifferential, HeadroomInsideEps) {
     expect_matches_oracle(c, shared);
     const std::vector<double> rates =
         oracle::water_fill(c.flows, c.in_capacity, c.out_capacity);
-    if (headroom <= 0.5e-6) {
+    if (headroom <= 0.5 * tol) {
       EXPECT_EQ(rates[0], 1e8);
-    } else if (headroom >= 2e-6) {
+    } else if (headroom >= 2 * tol) {
       EXPECT_GT(rates[0], 1e8);
+    }
+  }
+}
+
+/// Live sets as a heavy-load malleable run holds them, on the paper platform
+/// (10x10 ports at 1 GB/s, mean inter-arrival 0.5 s, slack up to 4):
+/// requests admitted in release order at their MinRate while the guarantees
+/// fit both ports, each held until its deadline. One snapshot every 97
+/// arrivals once 200 flows are live; with `guarantees` false the same sets
+/// start from 0, as the fluid baseline fills them.
+std::vector<FillCase> heavy_load_live_sets(bool guarantees) {
+  const workload::Scenario s =
+      workload::paper_flexible(Duration::seconds(0.5), Duration::seconds(20000));
+  Rng rng{3};
+  const std::vector<Request> requests = workload::generate(s.spec, rng);
+  const std::vector<double> in_capacity = to_bytes_per_second(s.network.ingress_capacities());
+  const std::vector<double> out_capacity = to_bytes_per_second(s.network.egress_capacities());
+  std::vector<double> in_held(in_capacity.size(), 0.0);
+  std::vector<double> out_held(out_capacity.size(), 0.0);
+  std::vector<const Request*> live;
+  std::vector<FillCase> sets;
+  for (std::size_t k = 0; k < requests.size() && sets.size() < 12; ++k) {
+    const Request& r = requests[k];
+    std::erase_if(live, [&](const Request* held) {
+      if (held->deadline > r.release) return false;
+      in_held[held->ingress.value] -= held->min_rate().to_bytes_per_second();
+      out_held[held->egress.value] -= held->min_rate().to_bytes_per_second();
+      return true;
+    });
+    const double g = r.min_rate().to_bytes_per_second();
+    if (in_held[r.ingress.value] + g <= in_capacity[r.ingress.value] &&
+        out_held[r.egress.value] + g <= out_capacity[r.egress.value]) {
+      in_held[r.ingress.value] += g;
+      out_held[r.egress.value] += g;
+      live.push_back(&r);
+    }
+    if (k % 97 != 96 || live.size() < 200) continue;
+    FillCase c{{}, in_capacity, out_capacity};
+    for (const Request* held : live) {
+      c.flows.push_back(FillFlow{held->ingress.value, held->egress.value,
+                                 guarantees ? held->min_rate().to_bytes_per_second() : 0.0,
+                                 held->max_rate.to_bytes_per_second()});
+    }
+    sets.push_back(std::move(c));
+  }
+  return sets;
+}
+
+/// The bottleneck condition that defines max-min fairness: every flow sits
+/// at its MaxRate or on a port saturated within kFillTol, and no port is
+/// loaded past its capacity. Loads are summed here, in span order, not read
+/// from the fill.
+void expect_max_min_fair(const FillCase& c, const std::vector<double>& rates) {
+  std::vector<double> in_load(c.in_capacity.size(), 0.0);
+  std::vector<double> out_load(c.out_capacity.size(), 0.0);
+  for (std::size_t k = 0; k < c.flows.size(); ++k) {
+    in_load[c.flows[k].ingress] += rates[k];
+    out_load[c.flows[k].egress] += rates[k];
+  }
+  const auto saturated = [](double load, double capacity) {
+    return capacity - load <= kFillTol * capacity;
+  };
+  std::size_t unfair = 0;
+  for (std::size_t k = 0; k < c.flows.size(); ++k) {
+    const FillFlow& f = c.flows[k];
+    EXPECT_GE(rates[k], f.guarantee) << "flow " << k;
+    if (rates[k] >= f.max - kFillTol * f.max ||
+        saturated(in_load[f.ingress], c.in_capacity[f.ingress]) ||
+        saturated(out_load[f.egress], c.out_capacity[f.egress])) {
+      continue;
+    }
+    if (++unfair <= 3) {
+      ADD_FAILURE() << "flow " << k << " of " << c.flows.size() << " at " << rates[k]
+                    << " B/s, below its max " << f.max << " with "
+                    << c.in_capacity[f.ingress] - in_load[f.ingress] << " B/s free in and "
+                    << c.out_capacity[f.egress] - out_load[f.egress] << " B/s free out";
+    }
+  }
+  EXPECT_EQ(unfair, 0u);
+  for (std::size_t p = 0; p < in_load.size(); ++p) {
+    EXPECT_LE(in_load[p], c.in_capacity[p] + kFillTol * c.in_capacity[p]) << "ingress " << p;
+  }
+  for (std::size_t p = 0; p < out_load.size(); ++p) {
+    EXPECT_LE(out_load[p], c.out_capacity[p] + kFillTol * c.out_capacity[p]) << "egress " << p;
+  }
+}
+
+TEST(WaterFill, MaxMinBottleneckCondition) {
+  FillScratch scratch;
+  std::vector<double> rates;
+  for (const bool guarantees : {true, false}) {
+    const std::vector<FillCase> sets = heavy_load_live_sets(guarantees);
+    ASSERT_EQ(sets.size(), 12u);
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+      SCOPED_TRACE(testing::Message() << "guarantees=" << guarantees << " set=" << s
+                                      << " flows=" << sets[s].flows.size());
+      water_fill(sets[s].flows, sets[s].in_capacity, sets[s].out_capacity, rates, scratch);
+      expect_max_min_fair(sets[s], rates);
+    }
+  }
+}
+
+TEST(WaterFill, PowerOfTwoScalingIsExact) {
+  // Multiplying every guarantee, max and capacity by 2^k is exact in binary
+  // floating point, and so is every step of a fill whose tolerance is
+  // relative: the scaled rates are the unscaled ones times 2^k, bit for bit.
+  std::vector<FillCase> cases = heavy_load_live_sets(true);
+  for (FillCase& c : heavy_load_live_sets(false)) cases.push_back(std::move(c));
+  Rng rng{17};
+  for (const std::size_t n : {1u, 31u, 256u}) cases.push_back(random_case(rng, n, 10, 10));
+  FillScratch scratch;
+  std::vector<double> base;
+  std::vector<double> scaled;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const FillCase& c = cases[i];
+    water_fill(c.flows, c.in_capacity, c.out_capacity, base, scratch);
+    for (const int k : {-10, 10}) {
+      SCOPED_TRACE(testing::Message() << "case=" << i << " k=" << k);
+      FillCase big = c;
+      for (FillFlow& f : big.flows) {
+        f.guarantee = std::ldexp(f.guarantee, k);
+        f.max = std::ldexp(f.max, k);
+      }
+      for (double& cap : big.in_capacity) cap = std::ldexp(cap, k);
+      for (double& cap : big.out_capacity) cap = std::ldexp(cap, k);
+      water_fill(big.flows, big.in_capacity, big.out_capacity, scaled, scratch);
+      ASSERT_EQ(scaled.size(), base.size());
+      std::size_t differ = 0;
+      for (std::size_t f = 0; f < base.size(); ++f) {
+        differ += std::bit_cast<std::uint64_t>(scaled[f]) !=
+                  std::bit_cast<std::uint64_t>(std::ldexp(base[f], k));
+      }
+      EXPECT_EQ(differ, 0u) << "of " << base.size() << " flows";
     }
   }
 }
