@@ -13,13 +13,17 @@
 //   --util-out=PATH dump per-port utilization for the same replay
 //                   (CSV, or JSONL objects when PATH ends in .json)
 //
-// and prints the same series the corresponding paper figure plots, followed
-// by a per-heuristic wall-clock timing table.
+// plus its own keys, if any, and prints the same series the corresponding
+// paper figure plots, followed by a per-heuristic wall-clock timing table.
+// An unknown flag or a bare argument prints the usage and exits 2 before
+// any run starts.
 
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <span>
@@ -34,6 +38,7 @@
 #include "obs/trace_sink.hpp"
 #include "obs_export/utilization.hpp"
 #include "util/flags.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace gridbw::bench {
@@ -51,8 +56,26 @@ struct BenchArgs {
     return !trace_path.empty() || !util_path.empty();
   }
 
-  static BenchArgs parse(int argc, const char* const* argv) {
+  /// Parses the flags above plus the bench's own keys `extra` (e.g.
+  /// "requests"); exits 2 with the usage on any other flag.
+  static BenchArgs parse(int argc, const char* const* argv,
+                         std::initializer_list<std::string_view> extra = {}) {
     const Flags flags{argc, argv};
+    std::vector<std::string_view> known{"reps", "threads", "seed",  "quick",
+                                        "csv",  "json",    "trace", "util-out"};
+    known.insert(known.end(), extra.begin(), extra.end());
+    try {
+      flags.require_known(known);
+      if (!flags.positional().empty()) {
+        throw ValueError{flags.positional().front(), flags.positional().front(),
+                         "a --key=value flag"};
+      }
+    } catch (const ValueError& e) {
+      std::cerr << argv[0] << ": " << e.what() << "\nflags:";
+      for (const std::string_view key : known) std::cerr << " --" << key;
+      std::cerr << "\n";
+      std::exit(2);
+    }
     BenchArgs args;
     args.config.replications =
         static_cast<std::size_t>(flags.get_int("reps", 8));

@@ -101,7 +101,7 @@ ConfigResult run_config(const Network& net, const std::vector<Request>& trace,
 }
 
 int run(int argc, const char* const* argv) {
-  auto args = bench::BenchArgs::parse(argc, argv);
+  auto args = bench::BenchArgs::parse(argc, argv, {"requests"});
   const Flags flags{argc, argv};
   if (args.json_path.empty() && !args.quick) {
     args.json_path = "BENCH_churn.json";

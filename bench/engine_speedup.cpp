@@ -74,7 +74,7 @@ bool same_schedule(const ScheduleResult& a, const ScheduleResult& b) {
 }
 
 int run(int argc, const char* const* argv) {
-  auto args = bench::BenchArgs::parse(argc, argv);
+  auto args = bench::BenchArgs::parse(argc, argv, {"scale"});
   const Flags flags{argc, argv};
   // This bench's artifact is the ISSUE's speedup proof; keep writing it by
   // default on full runs, but never let a --quick smoke run overwrite it.

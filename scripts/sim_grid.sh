@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
 # Byte-identity grid: runs a fixed set of gridbw_sim runs, 4 at a time, and
 # writes each run's stdout (OUT/<run>.txt, without the "schedule written to"
-# line, which names OUT) and its schedule (OUT/<run>.csv).
+# line, which names OUT) and its schedule (OUT/<run>.csv). It then writes the
+# stdout of the programs that run the fluid baseline, both data-plane replays
+# and the reservation control plane (OUT/<program>.txt, default flags; their
+# tables hold no timings and do not depend on the thread count).
 #
 #   scripts/sim_grid.sh BUILD OUT
 #
-# BUILD is a build directory holding examples/gridbw_sim. Exits 1 if any run
-# fails or reports a schedule validity other than "valid". To check that a
-# change keeps every decision, run it on the parent's build and on the
-# change's build and `diff -r` the two OUT directories.
+# BUILD is a build directory holding examples/gridbw_sim and those programs.
+# Exits 1 if any run fails or reports a schedule validity other than
+# "valid". To check that a change keeps every decision, run it on the
+# parent's build and on the change's build and `diff -r` the two OUT
+# directories.
 #
 # The grid: every scheduler spec below (rigid, greedy, WINDOW, BOOK-AHEAD,
 # malleable, and GREEDY with --retries=3) at three flexible loads, the rigid
@@ -21,7 +25,10 @@ if [[ $# -ne 2 ]]; then
   echo "usage: $0 BUILD OUT" >&2
   exit 2
 fi
-sim="$(cd "$1" && pwd)/examples/gridbw_sim"
+build="$(cd "$1" && pwd)"
+sim="$build/examples/gridbw_sim"
+programs=(bench/baseline_maxmin_vs_admission bench/replay_enforcement
+          bench/ctrl_policing examples/control_plane_demo)
 out="$2"
 if [[ ! -x "$sim" ]]; then
   echo "sim_grid: no gridbw_sim at $sim" >&2
@@ -81,9 +88,16 @@ export SIM_GRID_SIM="$sim" SIM_GRID_OUT="$out"
 
 status=0
 printf '%s\n' "${jobs[@]}" | xargs -d '\n' -n 1 -P 4 bash -c 'run_one "$1"' _ || status=1
+for program in "${programs[@]}"; do
+  if ! "$build/$program" >"$out/$(basename "$program").txt" 2>&1; then
+    echo "FAILED: $program" >&2
+    status=1
+  fi
+done
+runs="${#jobs[@]} runs and ${#programs[@]} programs"
 if [[ $status -ne 0 ]]; then
-  echo "sim_grid: ${#jobs[@]} runs in $out, some FAILED or INVALID" >&2
+  echo "sim_grid: $runs in $out, some FAILED or INVALID" >&2
 else
-  echo "sim_grid: ${#jobs[@]} runs in $out"
+  echo "sim_grid: $runs in $out"
 fi
 exit "$status"

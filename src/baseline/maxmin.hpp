@@ -48,9 +48,9 @@ struct MaxMinResult {
   [[nodiscard]] Volume useful_bytes() const;
 };
 
-/// Runs the max-min fluid sharing simulation over the request set. Rates
-/// are recomputed at every arrival, completion, and deadline event by
-/// heuristics::water_fill from guarantee 0, each flow capped by its MaxRate.
+/// Runs the max-min fluid sharing simulation over the request set on
+/// baseline::run_fluid: each flow starts at its release, is capped by its
+/// MaxRate and dies at its deadline; arrivals at one instant enter by id.
 [[nodiscard]] MaxMinResult simulate_maxmin(const Network& network,
                                            std::span<const Request> requests);
 

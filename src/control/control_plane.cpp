@@ -1,12 +1,14 @@
 #include "control/control_plane.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <cstdint>
+#include <functional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "control/messages.hpp"
 #include "core/ledger.hpp"
-#include "sim/simulator.hpp"
 
 namespace gridbw::control {
 namespace {
@@ -14,6 +16,52 @@ namespace {
 /// Per-router stale view of every egress port's allocated bandwidth.
 struct RouterView {
   std::vector<Bandwidth> egress_allocated;
+};
+
+/// The protocol's clock: a min-heap of closures ordered by (time, insertion
+/// sequence), so events at one instant run first in, first out. A closure
+/// may schedule further events, never before `now()`.
+class EventHeap {
+ public:
+  [[nodiscard]] TimePoint now() const { return now_; }
+
+  void at(TimePoint t, std::function<void()> action) {
+    if (t < now_) throw std::invalid_argument{"run_control_plane: event in the past"};
+    heap_.push_back(Event{t, next_sequence_++, std::move(action)});
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  }
+
+  void after(Duration delay, std::function<void()> action) {
+    if (delay.is_negative()) {
+      throw std::invalid_argument{"run_control_plane: negative delay"};
+    }
+    at(now_ + delay, std::move(action));
+  }
+
+  void run() {
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), later);
+      Event event = std::move(heap_.back());
+      heap_.pop_back();
+      now_ = event.time;
+      event.action();
+    }
+  }
+
+ private:
+  struct Event {
+    TimePoint time;
+    std::uint64_t sequence;
+    std::function<void()> action;
+  };
+  static bool later(const Event& a, const Event& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.sequence > b.sequence;
+  }
+
+  std::vector<Event> heap_;
+  TimePoint now_{TimePoint::origin()};
+  std::uint64_t next_sequence_{0};
 };
 
 }  // namespace
@@ -37,7 +85,7 @@ ControlPlaneReport run_control_plane(const OverlayTopology& topology,
   std::vector<RouterView> views(
       sites, RouterView{std::vector<Bandwidth>(sites, Bandwidth::zero())});
 
-  sim::Simulator simulator;
+  EventHeap events;
 
   // Broadcasts a delta on an egress port's allocation to every other
   // router's view, arriving after the mesh latency.
@@ -46,8 +94,8 @@ ControlPlaneReport run_control_plane(const OverlayTopology& topology,
     for (std::size_t m = 0; m < sites; ++m) {
       if (m == from_site) continue;
       ++report.control_messages;
-      simulator.after(topology.site(from_site).mesh_latency, [&views, m, egress, delta,
-                                                              positive] {
+      events.after(topology.site(from_site).mesh_latency, [&views, m, egress, delta,
+                                                           positive] {
         Bandwidth& cell = views[m].egress_allocated[egress.value];
         if (positive) {
           cell += delta;
@@ -65,8 +113,8 @@ ControlPlaneReport run_control_plane(const OverlayTopology& topology,
     // Client -> ingress router: the decision event.
     const std::size_t router = r.ingress.value;
     const Duration uplink = topology.site(router).local_latency;
-    simulator.at(r.release + uplink, [&, router, r] {
-      const TimePoint now = simulator.now();
+    events.at(r.release + uplink, [&, router, r] {
+      const TimePoint now = events.now();
       log_message(Message{ResvMessage{r}});
       const auto bw = options.policy.assign(r, now);
       const Duration response = 2.0 * topology.site(router).local_latency;
@@ -112,7 +160,7 @@ ControlPlaneReport run_control_plane(const OverlayTopology& topology,
       log_message(Message{GrantMessage{r.id, now, *bw}});
 
       // At τ(r): reclaim and broadcast the release.
-      simulator.at(r.finish_at(now, *bw), [&, router, r, bw] {
+      events.at(r.finish_at(now, *bw), [&, router, r, bw] {
         log_message(Message{TearMessage{r.id, r.egress, *bw}});
         truth.reclaim(r.ingress, r.egress, *bw);
         if (r.egress.value != router) {
@@ -124,7 +172,7 @@ ControlPlaneReport run_control_plane(const OverlayTopology& topology,
     });
   }
 
-  simulator.run();
+  events.run();
   return report;
 }
 

@@ -15,6 +15,11 @@ OverlayTopology::OverlayTopology(std::vector<Site> sites) : sites_{std::move(sit
     if (s.connections == 0) {
       throw std::invalid_argument{"OverlayTopology: site without connections"};
     }
+    for (const Duration latency : {s.local_latency, s.mesh_latency}) {
+      if (latency.is_negative() || !latency.is_finite()) {
+        throw std::invalid_argument{"OverlayTopology: negative or non-finite latency"};
+      }
+    }
   }
 }
 

@@ -1,14 +1,14 @@
 #include "dataplane/replay.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cmath>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "baseline/fluid.hpp"
 #include "core/timeline_profile.hpp"
-#include "heuristics/water_fill.hpp"
 
 namespace gridbw::dataplane {
 namespace {
@@ -22,8 +22,9 @@ struct Flow {
 std::vector<Flow> collect_flows(std::span<const Request> requests,
                                 const Schedule& schedule,
                                 const ReplayOptions& options) {
-  if (options.misbehave_factor <= 1.0 && !options.misbehaving.empty()) {
-    throw std::invalid_argument{"replay: misbehave_factor must be > 1"};
+  const double factor = options.misbehave_factor;
+  if ((!(factor > 1.0) || !std::isfinite(factor)) && !options.misbehaving.empty()) {
+    throw std::invalid_argument{"replay: misbehave_factor must be finite and > 1"};
   }
   std::unordered_map<RequestId, const Request*> by_id;
   for (const Request& r : requests) by_id.emplace(r.id, &r);
@@ -115,93 +116,30 @@ ReplayReport replay_unpoliced(const Network& network, std::span<const Request> r
     return a.assignment.request < b.assignment.request;
   });
 
+  // Senders offer their reservation (times misbehave_factor when
+  // misbehaving), and the ports share the offers max-min; nothing expires.
+  std::vector<baseline::FluidFlow> fluid;
+  fluid.reserve(flows.size());
+  for (const Flow& f : flows) {
+    const Bandwidth offered =
+        f.misbehaving ? f.assignment.bw * options.misbehave_factor : f.assignment.bw;
+    fluid.push_back(baseline::FluidFlow{f.assignment.start, TimePoint::infinity(),
+                                        f.request->ingress, f.request->egress,
+                                        f.request->volume, offered});
+  }
+  const baseline::FluidRun run = baseline::run_fluid(network, fluid);
+
   ReplayReport report;
   report.transfers.resize(flows.size());
   for (std::size_t k = 0; k < flows.size(); ++k) {
     report.transfers[k].id = flows[k].request->id;
     report.transfers[k].promised_finish = flows[k].assignment.end(*flows[k].request);
+    report.transfers[k].actual_finish = run.flows[k].finish;
     report.transfers[k].misbehaving = flows[k].misbehaving;
     report.transfers[k].dropped = Volume::zero();  // nothing polices, nothing drops
   }
-
-  const std::vector<double> in_capacity =
-      heuristics::to_bytes_per_second(network.ingress_capacities());
-  const std::vector<double> out_capacity =
-      heuristics::to_bytes_per_second(network.egress_capacities());
-  std::vector<heuristics::FillFlow> fill;
-  std::vector<double> rates;
-  heuristics::FillScratch scratch;
-  std::vector<double> in_sum;
-  std::vector<double> out_sum;
-
-  // Senders offer their reservation (times misbehave_factor when
-  // misbehaving) and the ports share it max-min from guarantee 0.
-  struct Live {
-    std::size_t index;
-    heuristics::FillFlow fill;
-    double remaining_bytes;
-  };
-  std::vector<Live> live;
-  std::size_t next_start = 0;
-  TimePoint now =
-      flows.empty() ? TimePoint::origin() : flows.front().assignment.start;
-
-  while (next_start < flows.size() || !live.empty()) {
-    if (live.empty()) now = flows[next_start].assignment.start;
-    while (next_start < flows.size() && flows[next_start].assignment.start <= now) {
-      const Flow& f = flows[next_start];
-      const Bandwidth offered = f.misbehaving
-                                    ? f.assignment.bw * options.misbehave_factor
-                                    : f.assignment.bw;
-      live.push_back(Live{next_start,
-                          {f.request->ingress.value, f.request->egress.value, 0.0,
-                           offered.to_bytes_per_second()},
-                          f.request->volume.to_bytes()});
-      ++next_start;
-    }
-
-    fill.clear();
-    for (const Live& f : live) fill.push_back(f.fill);
-    heuristics::water_fill(fill, in_capacity, out_capacity, rates, scratch);
-
-    // Track the worst instantaneous port load (physically <= 1; reported
-    // for symmetry with replay_policed).
-    in_sum.assign(in_capacity.size(), 0.0);
-    out_sum.assign(out_capacity.size(), 0.0);
-    for (std::size_t f = 0; f < live.size(); ++f) {
-      in_sum[live[f].fill.ingress] += rates[f];
-      out_sum[live[f].fill.egress] += rates[f];
-    }
-    for (std::size_t i = 0; i < in_sum.size(); ++i) {
-      report.peak_port_utilization =
-          std::max(report.peak_port_utilization, in_sum[i] / in_capacity[i]);
-    }
-    for (std::size_t e = 0; e < out_sum.size(); ++e) {
-      report.peak_port_utilization =
-          std::max(report.peak_port_utilization, out_sum[e] / out_capacity[e]);
-    }
-
-    double dt = std::numeric_limits<double>::infinity();
-    if (next_start < flows.size()) {
-      dt = flows[next_start].assignment.start.to_seconds() - now.to_seconds();
-    }
-    for (std::size_t f = 0; f < live.size(); ++f) {
-      if (rates[f] > 0.0) dt = std::min(dt, live[f].remaining_bytes / rates[f]);
-    }
-    dt = std::max(dt, 0.0);
-
-    now += Duration::seconds(dt);
-    for (std::size_t f = 0; f < live.size(); ++f) {
-      live[f].remaining_bytes = std::max(0.0, live[f].remaining_bytes - rates[f] * dt);
-    }
-    std::erase_if(live, [&](const Live& f) {
-      if (f.remaining_bytes <= 1e-3) {
-        report.transfers[f.index].actual_finish = now;
-        return true;
-      }
-      return false;
-    });
-  }
+  // Physically <= 1; reported for symmetry with replay_policed.
+  report.peak_port_utilization = run.peak_port_load;
   return report;
 }
 

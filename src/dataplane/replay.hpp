@@ -13,7 +13,8 @@
 //    aggregates can never exceed what admission granted.
 //
 //  * replay_unpoliced — no enforcement: all senders' *offered* rates enter
-//    a max-min fair fluid sharing of the ports (the §5.4 failure scenario).
+//    a max-min fair fluid sharing of the ports (baseline::run_fluid, with no
+//    deadlines; the §5.4 failure scenario).
 //    Misbehaving senders steal bandwidth, so conforming flows finish late —
 //    the report counts broken promises and measures the worst port
 //    overrun relative to the admitted allocation.
@@ -36,7 +37,7 @@ namespace gridbw::dataplane {
 struct ReplayOptions {
   /// Requests whose senders offer misbehave_factor x their reservation.
   std::vector<RequestId> misbehaving;
-  /// Offered-rate multiplier for misbehaving senders (> 1).
+  /// Offered-rate multiplier for misbehaving senders (finite, > 1).
   double misbehave_factor{2.0};
 };
 

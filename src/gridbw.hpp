@@ -31,9 +31,6 @@
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
-#include "sim/event_queue.hpp"
-#include "sim/simulator.hpp"
-
 #include "core/ids.hpp"
 #include "core/ledger.hpp"
 #include "core/network.hpp"
@@ -71,6 +68,7 @@
 #include "exact/single_pair.hpp"
 #include "exact/threedm.hpp"
 
+#include "baseline/fluid.hpp"
 #include "baseline/maxmin.hpp"
 
 #include "control/control_plane.hpp"

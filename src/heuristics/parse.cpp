@@ -1,16 +1,11 @@
 #include "heuristics/parse.hpp"
 
-#include <array>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 
-#include "heuristics/flexible_bookahead.hpp"
-#include "heuristics/flexible_greedy.hpp"
-#include "heuristics/rigid_fcfs.hpp"
 #include "util/parse.hpp"
 
 namespace gridbw::heuristics {
@@ -93,22 +88,14 @@ NamedScheduler parse_scheduler(const std::string& spec) {
 
   if (kind == "fcfs") {
     if (!rest.empty()) fail(spec, "fcfs takes no options");
-    return NamedScheduler{
-        "FCFS",
-        [](const Network& n, std::span<const Request> r, obs::Observer* observer) {
-          return schedule_rigid_fcfs(n, r, observer);
-        }};
+    return make_fcfs();
   }
   if (kind == "cumulated" || kind == "minbw" || kind == "minvol") {
     if (!rest.empty()) fail(spec, kind + " takes no options");
     const SlotCost cost = kind == "cumulated" ? SlotCost::kCumulated
                           : kind == "minbw"   ? SlotCost::kMinBandwidth
                                               : SlotCost::kMinVolume;
-    return NamedScheduler{
-        to_string(cost),
-        [cost](const Network& n, std::span<const Request> r, obs::Observer* observer) {
-          return schedule_rigid_slots(n, r, cost, observer);
-        }};
+    return make_slots(cost);
   }
   if (kind == "greedy") {
     Options opts = Options::parse(spec, rest);
@@ -144,15 +131,7 @@ NamedScheduler parse_scheduler(const std::string& spec) {
     if (ahead < 0) fail(spec, "ahead must be >= 0");
     b.max_book_ahead = static_cast<std::size_t>(ahead);
     opts.expect_empty(spec);
-    std::array<char, 64> buf{};
-    std::snprintf(buf.data(), buf.size(), "bookahead%.0f", b.step.to_seconds());
-    std::string name = std::string{buf.data()} + "x" + std::to_string(b.max_book_ahead) +
-                       "/" + b.policy.name();
-    return NamedScheduler{
-        std::move(name),
-        [b](const Network& n, std::span<const Request> r, obs::Observer* observer) {
-          return schedule_flexible_bookahead(n, r, b, observer);
-        }};
+    return make_bookahead(b);
   }
   fail(spec, "unknown scheduler kind '" + kind + "'");
 }

@@ -9,21 +9,34 @@
 namespace gridbw::heuristics {
 
 std::vector<NamedScheduler> rigid_schedulers() {
-  std::vector<NamedScheduler> all;
-  all.push_back(NamedScheduler{
-      "FCFS",
-      [](const Network& n, std::span<const Request> r, obs::Observer* observer) {
+  return {make_fcfs(), make_slots(SlotCost::kCumulated),
+          make_slots(SlotCost::kMinBandwidth), make_slots(SlotCost::kMinVolume)};
+}
+
+NamedScheduler make_fcfs() {
+  return NamedScheduler{
+      "FCFS", [](const Network& n, std::span<const Request> r, obs::Observer* observer) {
         return schedule_rigid_fcfs(n, r, observer);
-      }});
-  for (SlotCost cost :
-       {SlotCost::kCumulated, SlotCost::kMinBandwidth, SlotCost::kMinVolume}) {
-    all.push_back(NamedScheduler{
-        to_string(cost),
-        [cost](const Network& n, std::span<const Request> r, obs::Observer* observer) {
-          return schedule_rigid_slots(n, r, cost, observer);
-        }});
-  }
-  return all;
+      }};
+}
+
+NamedScheduler make_slots(SlotCost cost) {
+  return NamedScheduler{
+      to_string(cost),
+      [cost](const Network& n, std::span<const Request> r, obs::Observer* observer) {
+        return schedule_rigid_slots(n, r, cost, observer);
+      }};
+}
+
+NamedScheduler make_bookahead(BookAheadOptions options) {
+  std::array<char, 64> buf{};
+  std::snprintf(buf.data(), buf.size(), "bookahead%.0f", options.step.to_seconds());
+  return NamedScheduler{
+      std::string{buf.data()} + "x" + std::to_string(options.max_book_ahead) + "/" +
+          options.policy.name(),
+      [options](const Network& n, std::span<const Request> r, obs::Observer* observer) {
+        return schedule_flexible_bookahead(n, r, options, observer);
+      }};
 }
 
 NamedScheduler make_greedy(BandwidthPolicy policy) {

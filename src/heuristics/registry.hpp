@@ -16,6 +16,7 @@
 #include "core/request.hpp"
 #include "core/schedule.hpp"
 #include "heuristics/bandwidth_policy.hpp"
+#include "heuristics/flexible_bookahead.hpp"
 #include "heuristics/flexible_window.hpp"
 #include "heuristics/malleable.hpp"
 #include "heuristics/rigid_slots.hpp"
@@ -43,6 +44,15 @@ struct NamedScheduler {
 
 /// FCFS + the three *-SLOTS variants (the Fig. 4 line-up).
 [[nodiscard]] std::vector<NamedScheduler> rigid_schedulers();
+
+/// Rigid FCFS ("FCFS").
+[[nodiscard]] NamedScheduler make_fcfs();
+
+/// A *-SLOTS variant, named by its cost ("CUMULATED-SLOTS", ...).
+[[nodiscard]] NamedScheduler make_slots(SlotCost cost);
+
+/// BOOK-AHEAD with the given options ("bookahead100x4/f=1.00", ...).
+[[nodiscard]] NamedScheduler make_bookahead(BookAheadOptions options);
 
 /// GREEDY with the given bandwidth policy ("greedy/minrate", "greedy/f=0.80").
 [[nodiscard]] NamedScheduler make_greedy(BandwidthPolicy policy);

@@ -4,8 +4,8 @@
 // Gallager), above per-flow guarantees. Every unfrozen flow's rate rises by
 // the same increment per round until its MaxRate or one of its ports binds.
 // The malleable engines (heuristics/malleable) fill above their admitted
-// guarantees; the fluid baseline (baseline/maxmin) and the unpoliced replay
-// (dataplane/replay) fill from guarantee 0.
+// guarantees; the fluid loop (baseline/fluid), which runs the max-min
+// baseline and the unpoliced replay, fills from guarantee 0.
 //
 // The fill keeps an active list of the unfrozen flows, compacted in place
 // (order kept) as flows freeze, and per-port active counts decremented on

@@ -23,7 +23,7 @@ Flags::Flags(int argc, const char* const* argv) {
   }
 }
 
-void Flags::require_known(std::initializer_list<std::string_view> known) const {
+void Flags::require_known(std::span<const std::string_view> known) const {
   for (const auto& [key, value] : values_) {
     if (std::find(known.begin(), known.end(), key) == known.end()) {
       throw ValueError{"--" + key, value, "a known flag"};

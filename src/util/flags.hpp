@@ -10,6 +10,7 @@
 #include <initializer_list>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,7 +42,10 @@ class Flags {
   /// Throws ValueError naming the first flag (in key order) that is not in
   /// `known`, so a misspelt flag is a usage error rather than a run on the
   /// default it was meant to override.
-  void require_known(std::initializer_list<std::string_view> known) const;
+  void require_known(std::span<const std::string_view> known) const;
+  void require_known(std::initializer_list<std::string_view> known) const {
+    require_known(std::span{known.begin(), known.size()});
+  }
 
  private:
   std::map<std::string, std::string> values_;

@@ -121,6 +121,32 @@ TEST(ControlPlane, WireLogIsReplayableAndConsistent) {
   EXPECT_EQ(tear, report.result.accepted_count());  // every grant tears down
 }
 
+TEST(ControlPlane, EqualInstantsKeepFcfsOrder) {
+  // Both requests reach router 0 at the same instant. FCFS puts the lower
+  // MinRate first (7 before 3, against id and input order), and the event
+  // heap must run the two decisions in that order.
+  const auto topo = OverlayTopology::grid5000_like(4);
+  const std::vector<Request> rs{transfer(3, 0, 1, 100, 2.0, 0, 3),
+                                transfer(7, 0, 1, 100, 8.0, 0, 2)};
+  ControlPlaneOptions opt;
+  opt.record_wire_log = true;
+  const auto report = run_control_plane(topo, rs, opt);
+
+  std::vector<RequestId> decided;
+  for (const std::string& line : report.wire_log) {
+    const auto parsed = parse_message(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    if (const auto* resv = std::get_if<ResvMessage>(&*parsed)) {
+      decided.push_back(resv->request.id);
+    }
+  }
+  EXPECT_EQ(decided, (std::vector<RequestId>{7, 3}));
+  ASSERT_GE(report.wire_log.size(), 4u);
+  EXPECT_EQ(report.wire_log[0].rfind("RESV|id=7|", 0), 0u) << report.wire_log[0];
+  EXPECT_EQ(report.wire_log[1].rfind("GRANT|id=7|", 0), 0u) << report.wire_log[1];
+  EXPECT_EQ(report.wire_log[2].rfind("RESV|id=3|", 0), 0u) << report.wire_log[2];
+}
+
 TEST(ControlPlane, WireLogOffByDefault) {
   const auto topo = OverlayTopology::grid5000_like(4);
   const std::vector<Request> rs{transfer(1, 0, 1, 100, 4.0, 0, 2)};

@@ -1,11 +1,12 @@
-// Tests for the max-min fair-share fluid baseline and the hand-checkable
-// allocations of the fill it runs on.
+// Tests for the max-min fair-share fluid baseline, the fluid loop it runs on,
+// and the hand-checkable allocations of the fill.
 
 #include <gtest/gtest.h>
 
 #include <span>
 #include <vector>
 
+#include "baseline/fluid.hpp"
 #include "baseline/maxmin.hpp"
 #include "heuristics/water_fill.hpp"
 #include "workload/generator.hpp"
@@ -205,6 +206,34 @@ TEST(MaxMinSimulation, ByteConservation) {
                 requests[k].deadline.to_seconds() + 1e-6);
     }
   }
+}
+
+// The fluid loop itself, with no deadline (as the unpoliced replay runs it):
+// two flows share the port until the smaller one completes, then the other
+// takes the whole port.
+TEST(Fluid, FlowsWithoutDeadlineShareThenComplete) {
+  const Network net = Network::uniform(1, 1, mbps(100));
+  const std::vector<FluidFlow> flows{
+      {at(0), TimePoint::infinity(), IngressId{0}, EgressId{0}, Volume::megabytes(100),
+       mbps(1000)},
+      {at(0), TimePoint::infinity(), IngressId{0}, EgressId{0}, Volume::megabytes(200),
+       mbps(1000)}};
+  const FluidRun run = run_fluid(net, flows);
+  ASSERT_EQ(run.flows.size(), 2u);
+  EXPECT_TRUE(run.flows[0].completed);
+  EXPECT_TRUE(run.flows[1].completed);
+  EXPECT_NEAR(run.flows[0].finish.to_seconds(), 2.0, 1e-9);
+  EXPECT_NEAR(run.flows[1].finish.to_seconds(), 3.0, 1e-9);
+  EXPECT_EQ(run.flows[1].transferred, Volume::megabytes(200));
+  EXPECT_NEAR(run.peak_port_load, 1.0, 1e-12);
+}
+
+TEST(Fluid, RequiresFlowsOrderedByStart) {
+  const Network net = Network::uniform(1, 1, mbps(100));
+  const std::vector<FluidFlow> flows{
+      {at(5), at(50), IngressId{0}, EgressId{0}, Volume::megabytes(1), mbps(10)},
+      {at(0), at(50), IngressId{0}, EgressId{0}, Volume::megabytes(1), mbps(10)}};
+  EXPECT_THROW((void)run_fluid(net, flows), std::invalid_argument);
 }
 
 }  // namespace

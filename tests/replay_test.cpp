@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "dataplane/replay.hpp"
@@ -146,9 +147,16 @@ TEST(Replay, Validation) {
   EXPECT_THROW((void)replay_policed(f.net, f.requests, alien), std::invalid_argument);
   ReplayOptions opt;
   opt.misbehaving = {1};
-  opt.misbehave_factor = 1.0;
-  EXPECT_THROW((void)replay_policed(f.net, f.requests, f.schedule, opt),
-               std::invalid_argument);
+  for (const double factor : {1.0, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    opt.misbehave_factor = factor;
+    EXPECT_THROW((void)replay_policed(f.net, f.requests, f.schedule, opt),
+                 std::invalid_argument)
+        << factor;
+    EXPECT_THROW((void)replay_unpoliced(f.net, f.requests, f.schedule, opt),
+                 std::invalid_argument)
+        << factor;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "control/topology.hpp"
 
 namespace gridbw::control {
@@ -55,6 +57,24 @@ TEST(OverlayTopology, ValidatesSites) {
   no_hosts.connections = 0;
   EXPECT_THROW((OverlayTopology{std::vector<Site>{one, no_hosts}}),
                std::invalid_argument);
+
+  // A latency schedules the protocol's messages: a negative one would put an
+  // event in the past, a NaN one an unordered instant in the event heap.
+  for (const double seconds : {-0.01, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    Site local = one;
+    local.local_latency = Duration::seconds(seconds);
+    EXPECT_THROW((OverlayTopology{std::vector<Site>{one, local}}), std::invalid_argument)
+        << "local_latency " << seconds;
+    Site mesh = one;
+    mesh.mesh_latency = Duration::seconds(seconds);
+    EXPECT_THROW((OverlayTopology{std::vector<Site>{one, mesh}}), std::invalid_argument)
+        << "mesh_latency " << seconds;
+  }
+  Site instant = one;
+  instant.local_latency = Duration::zero();
+  instant.mesh_latency = Duration::zero();
+  EXPECT_NO_THROW((OverlayTopology{std::vector<Site>{one, instant}}));
 }
 
 TEST(OverlayTopology, OutOfRangeSiteThrows) {
